@@ -4,7 +4,6 @@ transforms, and net-general subsystem reduction maps.
 """
 
 from .errors import (
-    DegeneracyError,
     DimensionMismatchError,
     DwfError,
     FieldDomainError,
@@ -111,7 +110,6 @@ __all__ = [
     "UnsupportedDimensionError",
     "DimensionMismatchError",
     "NonCommutingError",
-    "DegeneracyError",
     "NetConstructionError",
     "NetMismatchError",
     "ValidationError",

@@ -21,10 +21,6 @@ class NonCommutingError(DwfError):
     """Operators expected to commute do not (within tolerance)."""
 
 
-class DegeneracyError(DwfError):
-    """Joint spectrum failed to resolve into one-dimensional eigenspaces."""
-
-
 class NetConstructionError(DwfError):
     """A quantum net failed one of its structural consistency checks."""
 

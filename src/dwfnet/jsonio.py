@@ -52,7 +52,7 @@ def _require(doc: dict, key: str, kind) -> object:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValidationError(f"field {key!r} must be a number")
         return float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValidationError(f"field {key!r} must be {kind.__name__}")
     return value
 
@@ -82,7 +82,10 @@ def parse_state(text: str) -> DensityState:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(x, (int, float)) for x in cell)
+                or not all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in cell
+                )
             ):
                 raise ValidationError(
                     f'field "rho"[{i}][{j}] must be a [re, im] pair'

@@ -6,6 +6,10 @@ ray.  Every other line inherits its projector by translating the ray by the
 canonical representative shift, so the whole net is fixed by its digits.
 The scalar net id is the mixed-radix value of the digits with striation 0
 most significant.
+
+Translations only permute a striation's eigenstates, by the integer table
+`StriationEigensystem.flips`, so line projectors, translation orbits and
+product detection are all exact integer bookkeeping.
 """
 
 from __future__ import annotations
@@ -22,15 +26,8 @@ from .errors import (
     ValidationError,
 )
 from .ffield import GF2m
-from .matkernel import factorize_tensor
 from .phasespace import PhaseSpace, Point
 from .translations import TranslationTable, build_eigensystems
-
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 FULL_ENUMERATION_LIMIT = 4  # N above this needs explicit sampling
 
@@ -85,32 +82,32 @@ def id_of(digits, order: int) -> int:
 
 
 class QuantumNet:
-    """A built net: one projector per line and the N^2 point operators."""
+    """A built net: one projector per line and the N^2 point operators.
+
+    The line of striation s through point alpha is the ray moved by
+    T_alpha, so its projector is that striation's state
+    `digit ^ flips[alpha]`, and A_alpha = sum of those N+1 projectors - I.
+    `point_ops` are views into the stacked (N^2, N, N) `ops_array`.
+    """
 
     def __init__(self, ctx: NetContext, net_id: int) -> None:
         self.ctx = ctx
         self.net_id = net_id
         self.digits = digits_of(net_id, ctx.order)
         n = ctx.order
+        space = ctx.space
 
         # (striation_id, c) -> rank-one projector
         self.projectors = {}
-        for es, st, digit in zip(ctx.eigensystems, ctx.space.striations, self.digits):
-            ray = es.states[digit]
-            self.projectors[(st.striation_id, 0)] = ray
-            for c in range(1, n):
-                t = ctx.table[ctx.space.representative_shift(st.striation_id, c)]
-                self.projectors[(st.striation_id, c)] = t @ ray @ t.conj().T
-
-        eye = np.eye(n, dtype=complex)
-        point_ops = []
-        for pt in ctx.space.points:
-            acc = -eye.copy()
-            for line in ctx.space.lines_through(pt):
-                acc += self.projectors[(line.striation_id, line.c)]
-            point_ops.append(acc)
-        self.point_ops = tuple(point_ops)
-        self.ops_array = np.array(point_ops)  # (N^2, N, N) stacked view
+        ops = np.repeat(-np.eye(n, dtype=complex)[None], n * n, axis=0)
+        for es, st, digit in zip(ctx.eigensystems, space.striations, self.digits):
+            for c in range(n):
+                shift = space.representative_shift(st.striation_id, c)
+                flip = es.flips[space.point_index(shift)]
+                self.projectors[(st.striation_id, c)] = es.states[digit ^ flip]
+            ops += es.states[digit ^ es.flips]
+        self.ops_array = ops
+        self.point_ops = tuple(ops)
 
     @property
     def order(self) -> int:
@@ -151,46 +148,20 @@ def enumerate_nets(ctx: NetContext, sample: int | None = None):
     return range(0, stride * sample, stride)
 
 
-def _match_state(projector: np.ndarray, states, tol: float = 1e-8) -> int:
-    """Index of the canonical eigenstate equal to `projector`."""
-    for i, s in enumerate(states):
-        if np.max(np.abs(projector - s)) < tol:
-            return i
-    raise NetConstructionError("projector does not match any canonical eigenstate")
-
-
-@lru_cache(maxsize=8)
-def _shift_digit_permutations(m: int):
-    """perm[beta_index][striation][digit] -> digit of the conjugated net.
-
-    Conjugating every line projector by T_beta maps a net to another net
-    with the same line geometry: within each striation the eigenstates are
-    permuted, so only the ray digits move.  (Shifting the lines along with
-    the conjugation is the identity on covariantly built nets, so the
-    conjugation action is what produces the size-N^2 orbits.)
-    """
-    ctx = net_context(m)
-    space, table = ctx.space, ctx.table
-    perms = []
-    for beta in space.points:
-        u = table[beta]
-        per_striation = []
-        for es in ctx.eigensystems:
-            per_striation.append(
-                tuple(
-                    _match_state(u @ s @ u.conj().T, es.states) for s in es.states
-                )
-            )
-        perms.append(tuple(per_striation))
-    return tuple(perms)
-
-
 def translate_net_id(ctx: NetContext, net_id: int, beta_index: int) -> int:
     """Net id after conjugating all projectors by the translation operator
-    of the point with index beta_index."""
-    perms = _shift_digit_permutations(ctx.n_qubits)[beta_index]
+    of the point with index beta_index.
+
+    Conjugation by T_beta permutes each striation's eigenstates, so only
+    the ray digits move: d -> d ^ flips[beta].  (Shifting the lines along
+    with the conjugation is the identity on covariantly built nets, so the
+    conjugation action is what produces the size-N^2 orbits.)
+    """
     digits = digits_of(net_id, ctx.order)
-    return id_of([perms[s][d] for s, d in enumerate(digits)], ctx.order)
+    moved = [
+        d ^ int(es.flips[beta_index]) for es, d in zip(ctx.eigensystems, digits)
+    ]
+    return id_of(moved, ctx.order)
 
 
 def classify_nets(ctx: NetContext) -> dict:
@@ -198,8 +169,8 @@ def classify_nets(ctx: NetContext) -> dict:
 
     Two nets are in one orbit when some translation operator conjugates
     every projector of one into the other.  Returns
-    {orbit_representative: sorted tuple of member ids}; the representative
-    is the smallest id in the orbit.
+    {representative: sorted tuple of member ids}; the representative is the
+    smallest id in the orbit.
     """
     if ctx.order > FULL_ENUMERATION_LIMIT:
         raise UnsupportedDimensionError(
@@ -223,41 +194,7 @@ def classify_nets(ctx: NetContext) -> dict:
     return orbits
 
 
-def orbit_representative(ctx: NetContext, net_id: int) -> int:
-    """Smallest net id in the translation orbit of net_id."""
-    return min(
-        translate_net_id(ctx, net_id, b) for b in range(ctx.order**2)
-    )
-
-
 # -- product structure (two-qubit nets) ----------------------------------
-
-
-@lru_cache(maxsize=1)
-def _single_qubit_families():
-    """Point-op families of the 8 single-qubit nets, indexed by net id."""
-    ctx = net_context(1)
-    return tuple(QuantumNet(ctx, i).point_ops for i in range(8))
-
-
-def _match_family(family, tol: float = 1e-8) -> int | None:
-    """Single-qubit net id whose point-op family equals `family`, if any."""
-    for net_id, ref in enumerate(_single_qubit_families()):
-        if all(np.max(np.abs(a - b)) < tol for a, b in zip(family, ref)):
-            return net_id
-    return None
-
-
-def _bloch_parity(a00: np.ndarray) -> int:
-    """Product of the signs of the three Bloch components of a single-qubit
-    point operator (all components are +-1 for a valid family)."""
-    parity = 1
-    for sigma in (_PAULI["x"], _PAULI["y"], _PAULI["z"]):
-        comp = np.trace(a00 @ sigma).real
-        if abs(abs(comp) - 1.0) > 1e-8:
-            raise NetConstructionError("factor is not a single-qubit point operator")
-        parity *= 1 if comp > 0 else -1
-    return parity
 
 
 @dataclass(frozen=True)
@@ -279,9 +216,43 @@ def _qubit_point_indices(ctx: NetContext):
     return pairs
 
 
+# Tr(sigma_j conj(B)) = +-Tr(sigma_j B): conjugation negates the sigma_y entry
+_CONJ_SIGNS = np.array([1, 1, -1, 1])
+
+
+@lru_cache(maxsize=1)
+def _single_qubit_hadamards():
+    """Hadamard matrices of the 8 single-qubit nets, indexed by net id."""
+    from .stokes import hadamard_matrix  # stokes imports this module
+
+    ctx = net_context(1)
+    return tuple(hadamard_matrix(QuantumNet(ctx, i)).h for i in range(8))
+
+
+def _factor_net(columns: np.ndarray, labels) -> int | None:
+    """Single-qubit net whose Hadamard matrix holds the factor's Bloch
+    columns, provided each column depends only on its point's label."""
+    family = np.zeros((4, 4), dtype=columns.dtype)
+    family[:, labels] = columns
+    if not np.array_equal(family[:, labels], columns):
+        return None
+    for net_id, h in enumerate(_single_qubit_hadamards()):
+        if np.array_equal(h, family):
+            return net_id
+    return None
+
+
 def detect_product_structure(net: QuantumNet) -> ProductReport:
     """Decide whether every point operator splits as a tensor product whose
     factors form single-qubit point-operator families.
+
+    The test is exact integer work on the net's +-1 Hadamard matrix
+    H[j, alpha] = Tr(Sigma_j A_alpha) with j = 4*j1 + j2: A_alpha is a
+    product of unit-trace factors exactly when
+    H[4*j1 + j2, alpha] = H[4*j1, alpha] * H[j2, alpha], and the factors'
+    Bloch columns are then H[4*j1, alpha] and H[j2, alpha].  The first
+    factor must match a single-qubit net's H, the complex-conjugated second
+    factor likewise.
 
     The 32 product-structured two-qubit nets fall into two translation
     orbits whose projectors are entrywise complex conjugates of each other.
@@ -291,27 +262,15 @@ def detect_product_structure(net: QuantumNet) -> ProductReport:
     """
     if net.n_qubits != 2:
         raise UnsupportedNetError("product-structure detection is defined for n=2")
-    pairs = _qubit_point_indices(net.ctx)
-    first = [None] * 4
-    second = [None] * 4
-    for a_op, (i1, i2) in zip(net.point_ops, pairs):
-        split = factorize_tensor(a_op, (2, 2))
-        if split is None:
-            return ProductReport(False, "none")
-        a, b = split
-        ta = np.trace(a)
-        if abs(ta) < 1e-8:
-            return ProductReport(False, "none")
-        a, b = a / ta, b * ta  # both factors now have unit trace
-        for slot, mat in ((first, a), (second, b)):
-            idx = i1 if slot is first else i2
-            if slot[idx] is None:
-                slot[idx] = mat
-            elif np.max(np.abs(slot[idx] - mat)) > 1e-8:
-                return ProductReport(False, "none")
-    net_a = _match_family(first)
-    net_b_conj = _match_family([m.conj() for m in second])
+    from .stokes import hadamard_matrix  # stokes imports this module
+
+    h = hadamard_matrix(net).h.reshape(4, 4, 16)  # [j1, j2, alpha]
+    if not np.array_equal(h, h[:, :1] * h[:1, :]):
+        return ProductReport(False, "none")
+    labels_a, labels_b = zip(*_qubit_point_indices(net.ctx))
+    net_a = _factor_net(h[:, 0], list(labels_a))
+    net_b_conj = _factor_net(h[0] * _CONJ_SIGNS[:, None], list(labels_b))
     if net_a is None or net_b_conj is None:
         return ProductReport(False, "none")
-    form = "eq6" if _bloch_parity(first[0]) > 0 else "eq7"
-    return ProductReport(True, form, net_a, net_b_conj)
+    parity = np.prod(_single_qubit_hadamards()[net_a][1:, 0])
+    return ProductReport(True, "eq6" if parity > 0 else "eq7", net_a, net_b_conj)

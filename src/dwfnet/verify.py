@@ -18,6 +18,7 @@ from .nets import (
     classify_nets,
     detect_product_structure,
     enumerate_nets,
+    id_of,
     net_context,
 )
 from .phasespace import PhaseSpace, Point
@@ -405,6 +406,16 @@ def _all_keep_sets(n: int):
         yield from (KeepSet(n, c) for c in combinations(range(n), k))
 
 
+def _random_net(ctx, rng):
+    """A uniformly drawn net, one random digit per striation.
+
+    Drawing digits keeps every size in range; the scalar id N^(N+1)
+    exceeds 64 bits from n = 4 on.
+    """
+    digits = rng.integers(0, ctx.order, ctx.order + 1)
+    return build_net(ctx, id_of([int(d) for d in digits], ctx.order))
+
+
 def suite_reduction_oracle(n: int, states: int = 25, pairs: int = 10) -> SuiteResult:
     r = SuiteResult("reduction-oracle", n)
     ctx = net_context(n)
@@ -413,10 +424,8 @@ def suite_reduction_oracle(n: int, states: int = 25, pairs: int = 10) -> SuiteRe
     for keep in _all_keep_sets(n):
         tctx = net_context(keep.k)
         for _ in range(pairs):
-            src_id = int(rng.integers(0, ctx.net_count))
-            tgt_id = int(rng.integers(0, tctx.net_count))
-            src = build_net(ctx, src_id)
-            tgt = build_net(tctx, tgt_id)
+            src = _random_net(ctx, rng)
+            tgt = _random_net(tctx, rng)
             rmap = reduction_map(src, tgt, keep)
             for st in fixed:
                 w = reduce_dwf(dwf_from_rho(st, src), rmap)
@@ -426,15 +435,15 @@ def suite_reduction_oracle(n: int, states: int = 25, pairs: int = 10) -> SuiteRe
                 oracle = dwf_from_rho(reduced, tgt)
                 r.expect(
                     np.max(np.abs(w.w - oracle.w)) < 1e-10,
-                    f"keep={keep.keep} nets=({src_id},{tgt_id}): oracle mismatch",
+                    f"keep={keep.keep} nets=({src.net_id},{tgt.net_id}): "
+                    "oracle mismatch",
                 )
     # composition and net-conversion consistency
     if n >= 2:
-        src = build_net(ctx, int(rng.integers(0, ctx.net_count)))
+        src = _random_net(ctx, rng)
         mid_keep = KeepSet(n, tuple(range(n - 1))) if n > 1 else None
-        mid_ctx = net_context(n - 1)
-        mid = build_net(mid_ctx, int(rng.integers(0, mid_ctx.net_count)))
-        fin = build_net(net_context(1), int(rng.integers(0, 8)))
+        mid = _random_net(net_context(n - 1), rng)
+        fin = _random_net(net_context(1), rng)
         two_step_a = reduction_map(src, mid, mid_keep)
         two_step_b = reduction_map(mid, fin, KeepSet(n - 1, (0,)))
         direct = reduction_map(src, fin, KeepSet(n, (0,)))
@@ -445,8 +454,8 @@ def suite_reduction_oracle(n: int, states: int = 25, pairs: int = 10) -> SuiteRe
                 np.max(np.abs(stepped.w - reduce_dwf(w, direct).w)) < 1e-10,
                 "nested reduction differs from direct reduction",
             )
-    other = build_net(ctx, int(rng.integers(0, ctx.net_count)))
-    src = build_net(ctx, int(rng.integers(0, ctx.net_count)))
+    other = _random_net(ctx, rng)
+    src = _random_net(ctx, rng)
     keep_all = KeepSet(n, tuple(range(n)))
     there = reduction_map(src, other, keep_all)
     back = reduction_map(other, src, keep_all)

@@ -33,6 +33,8 @@ class DensityState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (dim, dim):
             raise ValidationError(f"rho must be {dim}x{dim} for n={self.n}")
+        if not np.isfinite(rho).all():
+            raise ValidationError('field "rho" has a non-finite entry')
         if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
             raise ValidationError("rho is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-8:
@@ -59,6 +61,8 @@ class WignerFunction:
         w = np.asarray(self.w, dtype=float)
         if w.shape != (4**self.n,):
             raise ValidationError(f"w must have length {4 ** self.n} for n={self.n}")
+        if not np.isfinite(w).all():
+            raise ValidationError('field "w" has a non-finite entry')
         if abs(w.sum() - 1.0) > 1e-8:
             raise ValidationError(f"Wigner function sums to {w.sum()!r}, not 1")
         object.__setattr__(self, "w", w)

@@ -220,3 +220,37 @@ def test_verify_single_suite(capsys):
     assert code == 0
     assert "PASS field-axioms" in out
     assert "1/1 suites passed" in out
+
+
+@pytest.mark.parametrize(
+    "argv, doc, field",
+    [
+        (["compute", "--net", "0"],
+         '{"n": 1, "rho": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}', '"rho"'),
+        (["to-rho"], '{"n": 1, "net": 0, "w": [NaN, 0.25, 0.25, 0.25]}', '"w"'),
+        (["reduce", "--keep", "0", "--net-out", "0"],
+         '{"n": 2, "net": 0, "w": [Infinity' + ", 0.0" * 15 + "]}", '"w"'),
+    ],
+    ids=["compute", "to-rho", "reduce"],
+)
+def test_non_finite_input_exits_2(capsys, monkeypatch, argv, doc, field):
+    code, out, err = run(capsys, argv, doc, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert field in err and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["stokes"], '{"n": true, "rho": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}'),
+        (["to-rho"], '{"n": 1, "net": true, "w": [0.25, 0.25, 0.25, 0.25]}'),
+        (["stokes"], '{"n": 1, "rho": [[[true, 0], [0, 0]], [[0, 0], [0, 0]]]}'),
+    ],
+    ids=["n", "net", "rho-cell"],
+)
+def test_boolean_as_number_exits_2(capsys, monkeypatch, argv, doc):
+    code, out, err = run(capsys, argv, doc, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert "error" in err

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from dwfnet import (
     detect_product_structure,
     digits_of,
     enumerate_nets,
+    hadamard_matrix,
     id_of,
     net_context,
     translate_net_id,
 )
 from dwfnet.errors import UnsupportedDimensionError, ValidationError
-from dwfnet.nets import _qubit_point_indices, orbit_representative
+from dwfnet.nets import _qubit_point_indices
 from dwfnet.phasespace import Point
 
 I2 = np.eye(2)
@@ -147,11 +150,30 @@ def test_classification_two_qubit_counts():
 
 
 def test_orbit_representative():
+    # each orbit is keyed by its smallest id, reached from every member
     ctx = net_context(1)
-    for net_id in (0, 3, 5, 6):
-        assert orbit_representative(ctx, net_id) == 0
-    for net_id in (1, 2, 4, 7):
-        assert orbit_representative(ctx, net_id) == 1
+    orbits = classify_nets(ctx)
+    assert orbits == {0: (0, 3, 5, 6), 1: (1, 2, 4, 7)}
+    for rep, members in orbits.items():
+        for net_id in members:
+            assert min(translate_net_id(ctx, net_id, b) for b in range(4)) == rep
+
+
+def test_net_id_contract_fingerprint():
+    # net ids are a public contract: the Hadamard matrices of all n=2 nets
+    # and of 64 strided n=3 ids hash to a pinned value
+    digest = hashlib.sha256()
+    ctx2 = net_context(2)
+    for net_id in range(ctx2.net_count):
+        h = hadamard_matrix(build_net(ctx2, net_id)).h
+        digest.update(h.astype(np.int8).tobytes())
+    ctx3 = net_context(3)
+    for net_id in range(0, ctx3.net_count, ctx3.net_count // 64):
+        h = hadamard_matrix(build_net(ctx3, net_id)).h
+        digest.update(h.astype(np.int8).tobytes())
+    assert digest.hexdigest() == (
+        "8d5e4b987e8dae2c4c9c1cd1de378b37899e585906fbec997e2fe1263675e6cb"
+    )
 
 
 def test_conjugated_net_matches_translated_id():

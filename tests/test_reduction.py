@@ -23,7 +23,7 @@ from dwfnet.errors import (
     UnsupportedNetError,
     ValidationError,
 )
-from dwfnet.verify import partial_trace
+from dwfnet.verify import partial_trace, suite_reduction_oracle
 
 
 def dwf(rho, n, net_id):
@@ -136,6 +136,13 @@ def test_reduce_three_qubits():
     assert np.allclose(
         rho_from_dwf(wb, dst2).rho, partial_trace(rho, 3, (0, 2)), atol=1e-10
     )
+
+
+def test_reduction_oracle_suite_at_four_qubits():
+    # n=4 has 16^17 nets, more than a 64-bit integer can index
+    result = suite_reduction_oracle(4, states=2, pairs=1)
+    assert result.ok, result.failures[:3]
+    assert result.checks > 0
 
 
 def test_reduction_composes():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dwfnet import GF2m, PhaseSpace, Point
-from dwfnet.matkernel import adjoint, commutes, mul, trace
+from dwfnet import GF2m, PhaseSpace, Point, net_context
+from dwfnet.errors import NonCommutingError
 from dwfnet.translations import (
     TranslationTable,
     build_eigensystems,
@@ -14,12 +14,16 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.diag([1.0, -1.0])
 
 
+def dagger(a):
+    return a.conj().T
+
+
 def test_single_qubit_operators():
     fld = GF2m(1)
     assert np.allclose(translation_matrix(fld, Point(0, 0)), I2)
     assert np.allclose(translation_matrix(fld, Point(1, 0)), X)
     assert np.allclose(translation_matrix(fld, Point(0, 1)), Z)
-    assert np.allclose(translation_matrix(fld, Point(1, 1)), mul(X, Z))
+    assert np.allclose(translation_matrix(fld, Point(1, 1)), X @ Z)
 
 
 def test_two_qubit_expansion_uses_dual_basis():
@@ -40,9 +44,9 @@ def test_table_is_unitary_and_traceless():
         table = TranslationTable(ps)
         for pt in ps.points:
             t = table[pt]
-            assert np.allclose(mul(t, adjoint(t)), np.eye(n))
+            assert np.allclose(t @ dagger(t), np.eye(n))
             if (pt.q, pt.p) != (0, 0):
-                assert abs(trace(t)) < 1e-12
+                assert abs(np.trace(t)) < 1e-12
 
 
 def test_pairwise_orthogonal():
@@ -52,7 +56,7 @@ def test_pairwise_orthogonal():
     pts = ps.points
     for a in pts:
         for b in pts:
-            overlap = trace(mul(adjoint(table[a]), table[b]))
+            overlap = np.trace(dagger(table[a]) @ table[b])
             want = fld.order if a == b else 0.0
             assert overlap == pytest.approx(want, abs=1e-12)
 
@@ -66,7 +70,16 @@ def test_striation_group_commutes():
             ops = [table[pt] for pt in st.ray.points]
             for a in ops:
                 for b in ops:
-                    assert commutes(a, b)
+                    assert np.allclose(a @ b, b @ a)
+
+
+def test_anticommutes_matches_matrices():
+    ps = PhaseSpace(GF2m(2))
+    table = TranslationTable(ps)
+    for a, ta in enumerate(table.matrices):
+        for b, tb in enumerate(table.matrices):
+            sign = -1 if table.anticommutes(a, b) else 1
+            assert np.array_equal(ta @ tb, sign * tb @ ta)
 
 
 def test_eigensystems_are_mubs():
@@ -78,11 +91,11 @@ def test_eigensystems_are_mubs():
         assert len(systems) == n + 1
         for i, sa in enumerate(systems):
             for p in sa.states:
-                assert trace(p) == pytest.approx(1.0)
+                assert np.trace(p) == pytest.approx(1.0)
             for sb in systems[i + 1 :]:
                 for pa in sa.states:
                     for pb in sb.states:
-                        ov = trace(mul(pa, pb)).real
+                        ov = np.trace(pa @ pb).real
                         assert ov == pytest.approx(1.0 / n, abs=1e-10)
 
 
@@ -93,7 +106,70 @@ def test_eigenstates_invariant_under_ray_translations():
         for pt in st.ray.points:
             t = table[pt]
             for p in system.states:
-                assert np.allclose(mul(mul(t, p), adjoint(t)), p)
+                assert np.allclose(t @ p @ dagger(t), p)
+
+
+def test_single_qubit_states():
+    # striations 0, 1, 2 of one qubit are generated by Z, X and XZ; the
+    # +1 (or, for XZ with eigenvalues +-i, the +i) eigenstate comes first
+    plus = np.full((2, 2), 0.5)
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    left = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+    right = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+    z, x, xz = net_context(1).eigensystems
+    assert np.array_equal(z.states, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    assert np.array_equal(x.states, [plus, minus])
+    assert np.array_equal(xz.states, [left, right])
+
+
+def test_states_resolve_identity():
+    # exact rank-one projectors onto a complete orthogonal basis
+    for m in [1, 2, 3]:
+        ctx = net_context(m)
+        eye = np.eye(ctx.order)
+        for es in ctx.eigensystems:
+            assert np.array_equal(es.states.sum(axis=0), eye)
+            for p in es.states:
+                assert np.array_equal(p, dagger(p))
+                assert np.array_equal(p @ p, p)
+                assert np.trace(p) == 1.0
+                for u in es.ops:
+                    assert np.array_equal(u @ p, p @ u)
+
+
+def test_states_follow_documented_eigen_order():
+    # states ascend lexicographically in the generators' eigenvalue phases,
+    # compared as exact quarter turns
+    for m in [1, 2, 3, 4, 5]:
+        ctx = net_context(m)
+        gens = ctx.field.basis
+        for es in ctx.eigensystems:
+            keys = []
+            for p in es.states:
+                lams = [np.trace(es.ops[g] @ p) for g in gens]
+                assert np.allclose(np.abs(lams), 1.0)
+                turns = [np.angle(lam) / (np.pi / 2) for lam in lams]
+                assert np.allclose(turns, np.round(turns))
+                keys.append(tuple(int(round(t)) % 4 for t in turns))
+            assert all(a < b for a, b in zip(keys, keys[1:])), (m, es.striation_id)
+
+
+def test_flips_permute_states():
+    # T_alpha P_d T_alpha^dag = P_{d ^ flips[alpha]}, exactly
+    for m in [1, 2, 3]:
+        ctx = net_context(m)
+        for es in ctx.eigensystems:
+            for t, flip in zip(ctx.table.matrices, es.flips):
+                for d, p in enumerate(es.states):
+                    assert np.array_equal(t @ p @ dagger(t), es.states[d ^ flip])
+
+
+def test_misconfigured_duality_raises():
+    fld = GF2m(3)
+    fld.dual_basis = fld.basis  # break the trace-dual pairing of q and p
+    ps = PhaseSpace(fld)
+    with pytest.raises(NonCommutingError):
+        build_eigensystems(ps, TranslationTable(ps))
 
 
 def test_composition_phase():
@@ -103,8 +179,8 @@ def test_composition_phase():
     table = TranslationTable(ps)
     for a in ps.points:
         for b in ps.points:
-            prod = mul(table[a], table[b])
+            prod = table[a] @ table[b]
             tsum = table[ps.translate_point(a, b)]
-            ratio = trace(mul(adjoint(tsum), prod)) / fld.order
+            ratio = np.trace(dagger(tsum) @ prod) / fld.order
             assert abs(abs(ratio) - 1.0) < 1e-12
             assert np.allclose(prod, ratio * tsum)
