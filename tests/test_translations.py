@@ -109,17 +109,30 @@ def test_eigenstates_invariant_under_ray_translations():
                 assert np.allclose(t @ p @ dagger(t), p)
 
 
-def test_single_qubit_states():
-    # striations 0, 1, 2 of one qubit are generated by Z, X and XZ; the
-    # +1 (or, for XZ with eigenvalues +-i, the +i) eigenstate comes first
+# striations 0, 1, 2 of one qubit are generated by Z, X and XZ; the +1 (or,
+# for XZ with eigenvalues +-i, the +i) eigenstate comes first
+
+
+def test_single_qubit_z_states():
+    z = net_context(1).eigensystems[0]
+    assert np.array_equal(z.states, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+def test_single_qubit_x_states():
     plus = np.full((2, 2), 0.5)
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    x = net_context(1).eigensystems[1]
+    assert np.array_equal(x.states, [plus, minus])
+
+
+def test_single_qubit_xz_states():
     left = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
     right = np.array([[0.5, -0.5j], [0.5j, 0.5]])
-    z, x, xz = net_context(1).eigensystems
-    assert np.array_equal(z.states, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    assert np.array_equal(x.states, [plus, minus])
+    xz = net_context(1).eigensystems[2]
     assert np.array_equal(xz.states, [left, right])
+    for p in xz.states:
+        assert np.array_equal(p @ p, p)
+        assert np.array_equal(dagger(p), p)
 
 
 def test_states_resolve_identity():
