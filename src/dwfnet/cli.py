@@ -35,7 +35,7 @@ from .reduction import (
 )
 from .stokes import conjugation_matrix, spinflip_matrix, stokes_from_rho
 from .wigner import WignerFunction, dwf_from_rho, rho_from_dwf
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 
 def _read(path: str | None) -> str:
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_concurrence)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--suite", default="all", help="suite name or 'all'")
+    p.add_argument("--suite", default="all", choices=["all", *SUITES])
     p.add_argument("--n", type=int, required=True, help="qubit count")
     p.set_defaults(func=_cmd_verify)
 

@@ -25,6 +25,7 @@ _IRREDUCIBLE = {
     4: 0b10011,
     5: 0b100101,
 }
+SUPPORTED_DEGREES = tuple(_IRREDUCIBLE)
 
 
 class GF2m:

@@ -16,6 +16,7 @@ import json
 import numpy as np
 
 from .errors import ValidationError
+from .ffield import SUPPORTED_DEGREES
 from .stokes import StokesVector
 from .wigner import DensityState, WignerFunction
 
@@ -57,6 +58,13 @@ def _require(doc: dict, key: str, kind) -> object:
     return value
 
 
+def _require_n(doc: dict) -> int:
+    n = _require(doc, "n", int)
+    if n not in SUPPORTED_DEGREES:
+        raise ValidationError(f'field "n" must be in {list(SUPPORTED_DEGREES)}, got {n}')
+    return n
+
+
 def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
@@ -69,7 +77,7 @@ def parse_document(text: str) -> dict:
 
 def parse_state(text: str) -> DensityState:
     doc = parse_document(text)
-    n = _require(doc, "n", int)
+    n = _require_n(doc)
     rows = _require(doc, "rho", list)
     dim = 2**n
     if len(rows) != dim or any(
@@ -103,7 +111,7 @@ def state_to_doc(state: DensityState) -> dict:
 
 def parse_dwf(text: str) -> WignerFunction:
     doc = parse_document(text)
-    n = _require(doc, "n", int)
+    n = _require_n(doc)
     net = _require(doc, "net", int)
     w = _require(doc, "w", list)
     if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in w):

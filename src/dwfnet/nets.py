@@ -27,7 +27,7 @@ from .errors import (
 )
 from .ffield import GF2m
 from .phasespace import PhaseSpace, Point
-from .translations import TranslationTable, build_eigensystems
+from .translations import CONJ_SIGNS, TranslationTable, build_eigensystems
 
 FULL_ENUMERATION_LIMIT = 4  # N above this needs explicit sampling
 
@@ -205,21 +205,6 @@ class ProductReport:
     factor_b_conj_net: int | None = None  # net matching the conjugated second factor
 
 
-def _qubit_point_indices(ctx: NetContext):
-    """Per two-qubit point: (single-qubit index of qubit 1, of qubit 2)."""
-    fld = ctx.field
-    pairs = []
-    for pt in ctx.space.points:
-        qbits = fld.expand(pt.q)
-        pbits = fld.expand(pt.p, dual=True)
-        pairs.append(tuple(2 * qi + pi for qi, pi in zip(qbits, pbits)))
-    return pairs
-
-
-# Tr(sigma_j conj(B)) = +-Tr(sigma_j B): conjugation negates the sigma_y entry
-_CONJ_SIGNS = np.array([1, 1, -1, 1])
-
-
 @lru_cache(maxsize=1)
 def _single_qubit_hadamards():
     """Hadamard matrices of the 8 single-qubit nets, indexed by net id."""
@@ -267,9 +252,9 @@ def detect_product_structure(net: QuantumNet) -> ProductReport:
     h = hadamard_matrix(net).h.reshape(4, 4, 16)  # [j1, j2, alpha]
     if not np.array_equal(h, h[:, :1] * h[:1, :]):
         return ProductReport(False, "none")
-    labels_a, labels_b = zip(*_qubit_point_indices(net.ctx))
-    net_a = _factor_net(h[:, 0], list(labels_a))
-    net_b_conj = _factor_net(h[0] * _CONJ_SIGNS[:, None], list(labels_b))
+    labels = net.ctx.table.labels  # per point: single-qubit point indices
+    net_a = _factor_net(h[:, 0], labels[:, 0])
+    net_b_conj = _factor_net(h[0] * CONJ_SIGNS[:, None], labels[:, 1])
     if net_a is None or net_b_conj is None:
         return ProductReport(False, "none")
     parity = np.prod(_single_qubit_hadamards()[net_a][1:, 0])

@@ -80,20 +80,17 @@ class PhaseSpace:
                 s = fld.mul(s, 2)  # next power of w
         self.directions = tuple(directions)
 
+        mul = [[fld.mul(a, b) for b in range(n)] for a in range(n)]
+        grid = [Point(q, p) for q in range(n) for p in range(n)]
         striations = []
         for sid, (a, b) in enumerate(directions):
             # the ray {s(a,b)} satisfies b*q + a*p = 0
             ea, eb = b, a
-            lines = []
-            for c in range(n):
-                pts = tuple(
-                    Point(q, p)
-                    for q in range(n)
-                    for p in range(n)
-                    if fld.add(fld.mul(ea, q), fld.mul(eb, p)) == c
-                )
-                assert len(pts) == n
-                lines.append(Line(ea, eb, c, sid, pts))
+            members = [[] for _ in range(n)]
+            for pt in grid:
+                members[mul[ea][pt.q] ^ mul[eb][pt.p]].append(pt)
+            assert all(len(pts) == n for pts in members)
+            lines = [Line(ea, eb, c, sid, tuple(pts)) for c, pts in enumerate(members)]
             striations.append(Striation(sid, a, b, tuple(lines)))
         self.striations = tuple(striations)
 

@@ -25,14 +25,8 @@ from .errors import (
     UnsupportedNetError,
     ValidationError,
 )
-from .nets import (
-    QuantumNet,
-    build_net,
-    detect_product_structure,
-    net_context,
-    _qubit_point_indices,
-)
-from .stokes import hadamard_matrix
+from .nets import QuantumNet, detect_product_structure
+from .stokes import _hadamard_by_id
 from .wigner import WignerFunction, purity_from_dwf
 
 
@@ -58,25 +52,23 @@ class KeepSet:
         return len(self.keep)
 
 
+def _kept_rows(keep: KeepSet) -> np.ndarray:
+    """Row r of the selection matrix: the n-qubit index of k-qubit index r."""
+    rows = np.zeros(1, dtype=np.int64)
+    for pos in range(keep.n):
+        rows = 4 * rows
+        if pos in keep.keep:
+            rows = (rows[:, None] + np.arange(4)).ravel()
+    return rows
+
+
 def selection_matrix(keep: KeepSet) -> np.ndarray:
     """0/1 matrix extracting the kept qubits' Stokes components.
 
     Row r (a k-qubit Pauli index) selects the n-qubit Pauli index whose
     digits equal r's digits on kept positions and 0 on traced positions.
     """
-    n, k = keep.n, keep.k
-    t = np.zeros((4**k, 4**n), dtype=np.int64)
-    for r in range(4**k):
-        digits = [0] * n
-        rr = r
-        for pos in reversed(keep.keep):
-            digits[pos] = rr % 4
-            rr //= 4
-        c = 0
-        for d in digits:
-            c = c * 4 + d
-        t[r, c] = 1
-    return t
+    return np.eye(4**keep.n, dtype=np.int64)[_kept_rows(keep)]
 
 
 @dataclass(frozen=True)
@@ -92,9 +84,9 @@ class ReductionMap:
 @lru_cache(maxsize=4096)
 def _reduction_map_cached(n: int, keep: tuple, source_net: int, target_net: int):
     ks = KeepSet(n, keep)
-    h_n = hadamard_matrix(build_net(net_context(n), source_net))
-    h_k = hadamard_matrix(build_net(net_context(ks.k), target_net))
-    p = h_k.inverse @ selection_matrix(ks) @ h_n.h
+    h_n = _hadamard_by_id(n, source_net)
+    h_k = _hadamard_by_id(ks.k, target_net)
+    p = h_k.inverse @ h_n.h[_kept_rows(ks)]
     return ReductionMap(ks, source_net, target_net, p)
 
 
@@ -135,6 +127,9 @@ def convert_net(w: WignerFunction, target_net: QuantumNet) -> WignerFunction:
 
 # -- product-net shortcut (cross-check path) -------------------------------
 
+# (-1)^((q+q')(p+p')) between single-qubit points 2q+p and 2q'+p'
+_SIGN_KERNEL = np.where(np.bitwise_xor.outer(range(4), range(4)) == 3, -1.0, 1.0)
+
 
 def shortcut_reduce(w: WignerFunction, net: QuantumNet, which: str) -> WignerFunction:
     """Two-qubit reduction via the product-structure shortcut.
@@ -156,23 +151,13 @@ def shortcut_reduce(w: WignerFunction, net: QuantumNet, which: str) -> WignerFun
         raise UnsupportedNetError(
             f"net {net.net_id} has no product structure; use reduction_map"
         )
-    pairs = _qubit_point_indices(net.ctx)  # per point: (alpha_1, alpha_2)
+    labels = net.ctx.table.labels  # per point: single-qubit point indices
     if which == "A":
-        out = np.zeros(4)
-        for value, (i1, _) in zip(w.w, pairs):
-            out[i1] += value
+        out = np.bincount(labels[:, 0], weights=w.w, minlength=4)
         return WignerFunction(1, report.factor_a_net, out)
     if which == "B":
-        out = np.zeros(4)
-        for beta in range(4):
-            qb, pb = divmod(beta, 2)
-            acc = 0.0
-            for value, (_, i2) in zip(w.w, pairs):
-                qa, pa = divmod(i2, 2)
-                sign = -1.0 if (qa ^ qb) & (pa ^ pb) else 1.0
-                acc += sign * value
-            out[beta] = 0.5 * acc
-        return WignerFunction(1, report.factor_b_conj_net, out)
+        marginal = np.bincount(labels[:, 1], weights=w.w, minlength=4)
+        return WignerFunction(1, report.factor_b_conj_net, 0.5 * _SIGN_KERNEL @ marginal)
     raise ValidationError(f"which must be 'A' or 'B', got {which!r}")
 
 
@@ -183,16 +168,13 @@ def concurrence_from_dwf(w: WignerFunction, source_net: QuantumNet) -> float:
     and evaluates sqrt(2 (1 - Tr rho_A^2)) via the purity identity
     Tr rho_A^2 = 2 sum (w^A)^2.
     """
-    if w.n != 2:
-        raise ValidationError("concurrence is defined for two-qubit DWFs")
+    if w.n != 2 or source_net.n_qubits != 2:
+        raise ValidationError("concurrence is defined for two-qubit DWFs and nets")
     purity = purity_from_dwf(w)
     if abs(purity - 1.0) > 1e-6:
         raise PurityError(
             f"input purity {purity:.8f} is not 1; concurrence needs a pure state"
         )
-    rmap = reduction_map(
-        source_net, build_net(net_context(1), 0), KeepSet(2, (0,))
-    )
-    wa = reduce_dwf(w, rmap)
+    wa = reduce_dwf(w, _reduction_map_cached(2, (0,), source_net.net_id, 0))
     purity_a = purity_from_dwf(wa)
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity_a))))

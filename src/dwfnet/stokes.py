@@ -1,41 +1,35 @@
 """Generalized Stokes vectors and the net-dependent Hadamard bridge S = H W.
 
-Pauli-word index convention: component j corresponds to the word
-sigma_{j_1} (x) ... (x) sigma_{j_n} with j = sum_i j_i * 4^(n-i) (first
-qubit most significant) and 0,1,2,3 <-> I, sigma_x, sigma_y, sigma_z.
+Component j of a Stokes vector belongs to Pauli word j in the index
+convention of `translations.pauli_words` (first qubit most significant).
 
 Stokes components carry no 1/2^n prefactor: s_j = Tr(rho Sigma_j).  Under
 this convention H has pure +-1 entries, H^{-1} = H^T / N^2, and the
 subsystem selection matrices of the reduction engine are plain 0/1
 matrices.  A 1/2^n rescaling recovers the normalized convention.
+
+H is exact integer bookkeeping on the net context's tables: row 0 is all
+ones, and each non-identity word lies on one striation's ray, so its row
+is that striation's `signs` on the state the net puts on the line through
+each point.  F and G are diagonal sign matrices in Stokes space,
+H^T diag(y) H / N^2, with y the sign each word picks up under complex
+conjugation (F) or under the spin flip (G).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import NetConstructionError, ValidationError
-from .nets import QuantumNet, net_context
+from .errors import ValidationError
+from .nets import QuantumNet, digits_of, net_context
+from .translations import CONJ_SIGNS, pauli_words
 from .wigner import DensityState
 
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
-@lru_cache(maxsize=8)
-def pauli_words(n: int) -> np.ndarray:
-    """All 4^n Pauli words as a (4^n, 2^n, 2^n) array in index order."""
-    words = [np.array([[1.0 + 0.0j]])]
-    for _ in range(n):
-        words = [np.kron(w, s) for w in words for s in _SIGMA]
-    return np.array(words)
+# sigma_y conj(sigma_j) sigma_y = _FLIP_SIGNS[j] sigma_j
+_FLIP_SIGNS = np.array([1, -1, -1, -1])
 
 
 @dataclass(frozen=True)
@@ -71,27 +65,25 @@ class HadamardMatrix:
         return self.h.T / float(4**self.n)
 
 
-def _hadamard_uncached(net: QuantumNet) -> HadamardMatrix:
-    ops = net.ops_array
-    raw = np.einsum("jab,kba->jk", pauli_words(net.n_qubits), ops)
-    if np.max(np.abs(raw.imag)) > 1e-9 or np.max(np.abs(np.abs(raw.real) - 1.0)) > 1e-9:
-        raise NetConstructionError(
-            f"net {net.net_id}: Tr(Sigma_j A_alpha) entries are not all +-1"
-        )
-    h = np.where(raw.real > 0, 1, -1).astype(np.int64)
-    return HadamardMatrix(net.n_qubits, net.net_id, h)
-
-
 @lru_cache(maxsize=4096)
 def _hadamard_by_id(n: int, net_id: int) -> HadamardMatrix:
-    from .nets import build_net
-
-    return _hadamard_uncached(build_net(net_context(n), net_id))
+    ctx = net_context(n)
+    h = np.ones((ctx.order**2, ctx.order**2), dtype=np.int64)
+    for es, digit in zip(ctx.eigensystems, digits_of(net_id, ctx.order)):
+        h[ctx.table.pauli[es.ray[1:]]] = es.signs[digit ^ es.flips].T
+    return HadamardMatrix(n, net_id, h)
 
 
 def hadamard_matrix(net: QuantumNet) -> HadamardMatrix:
     """Net-dependent Hadamard matrix realizing S = H W and W = H^T S / N^2."""
     return _hadamard_by_id(net.n_qubits, net.net_id)
+
+
+def _sandwich(net: QuantumNet, single_signs) -> np.ndarray:
+    """H^T diag(y) H / N^2, y the product of the words' per-qubit signs."""
+    y = reduce(np.kron, [single_signs] * net.n_qubits)
+    h = hadamard_matrix(net).h.astype(float)
+    return (h.T * y) @ h / h.shape[0]
 
 
 def conjugation_matrix(net: QuantumNet) -> np.ndarray:
@@ -100,11 +92,7 @@ def conjugation_matrix(net: QuantumNet) -> np.ndarray:
     F is real, satisfies F @ F = I, and is the same matrix for every net of
     a given size.
     """
-    ops = net.ops_array
-    f = np.einsum("bij,aji->ba", ops.conj(), ops) / net.order
-    if np.max(np.abs(f.imag)) > 1e-10:
-        raise NetConstructionError("conjugation matrix is not real")
-    return f.real
+    return _sandwich(net, CONJ_SIGNS)
 
 
 def spinflip_matrix(net: QuantumNet) -> np.ndarray:
@@ -113,13 +101,4 @@ def spinflip_matrix(net: QuantumNet) -> np.ndarray:
     G is F with rows permuted by the phase-space translation whose operator
     is sigma_y^(xn) up to phase.
     """
-    n = net.n_qubits
-    u = np.array([[1.0 + 0.0j]])
-    for _ in range(n):
-        u = np.kron(u, _SIGMA[2])
-    ops = net.ops_array
-    flipped = np.einsum("ab,kbc,cd->kad", u, ops.conj(), u.conj().T)
-    g = np.einsum("bij,aji->ba", flipped, ops) / net.order
-    if np.max(np.abs(g.imag)) > 1e-10:
-        raise NetConstructionError("spin-flip matrix is not real")
-    return g.real
+    return _sandwich(net, _FLIP_SIGNS)

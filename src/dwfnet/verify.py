@@ -29,7 +29,7 @@ from .stokes import (
     spinflip_matrix,
     stokes_from_rho,
 )
-from .translations import TranslationTable, build_eigensystems
+from .translations import TranslationTable, build_eigensystems, pauli_words
 from .wigner import (
     DensityState,
     dwf_from_rho,
@@ -319,6 +319,25 @@ def suite_wigner_roundtrip(n: int) -> SuiteResult:
     return r
 
 
+def dense_hadamard(net) -> np.ndarray:
+    """Oracle for H: Tr(Sigma_j A_alpha) from the dense operator stacks."""
+    return np.einsum("jab,kba->jk", pauli_words(net.n_qubits), net.ops_array)
+
+
+def dense_conjugation(net) -> np.ndarray:
+    """Oracle for F: Tr(conj(A_b) A_a) / N."""
+    ops = net.ops_array
+    return np.einsum("bij,aji->ba", ops.conj(), ops) / net.order
+
+
+def dense_spinflip(net) -> np.ndarray:
+    """Oracle for G: Tr(sigma_y^(xn) conj(A_b) sigma_y^(xn) A_a) / N."""
+    n = net.n_qubits
+    u = pauli_words(n)[int("2" * n, 4)]  # sigma_y^(xn), Hermitian
+    ops = net.ops_array
+    return np.einsum("bij,aji->ba", u @ ops.conj() @ u, ops) / net.order
+
+
 def suite_hadamard_bridge(n: int, states: int = 50) -> SuiteResult:
     r = SuiteResult("hadamard-bridge", n)
     ctx = net_context(n)
@@ -330,6 +349,10 @@ def suite_hadamard_bridge(n: int, states: int = 50) -> SuiteResult:
     for net_id in _net_ids(ctx):
         net = build_net(ctx, net_id)
         h = hadamard_matrix(net)
+        r.expect(
+            np.array_equal(h.h, dense_hadamard(net)),
+            f"net {net_id}: H != Tr(Sigma_j A_alpha)",
+        )
         r.expect(
             np.array_equal(h.h @ h.h.T, eye), f"net {net_id}: H H^T != N^2 I"
         )
@@ -357,12 +380,17 @@ def suite_conjugation(n: int) -> SuiteResult:
         net = build_net(ctx, net_id)
         f = conjugation_matrix(net)
         g = spinflip_matrix(net)
-        if reference is None:
-            reference = np.round(f, 12)
         r.expect(
-            np.array_equal(np.round(f, 12), reference),
-            f"net {net_id}: F differs between nets",
+            np.array_equal(f, dense_conjugation(net)),
+            f"net {net_id}: F != Tr(conj(A_b) A_a) / N",
         )
+        r.expect(
+            np.array_equal(g, dense_spinflip(net)),
+            f"net {net_id}: G != its sigma_y form",
+        )
+        if reference is None:
+            reference = f
+        r.expect(np.array_equal(f, reference), f"net {net_id}: F differs between nets")
         r.expect(np.max(np.abs(f @ f - eye)) < 1e-10, "F^2 != I")
         r.expect(np.max(np.abs(g @ g - eye)) < 1e-10, "G^2 != I")
         rows = [int(np.argmax(np.abs(g[i] @ f.T))) for i in range(4**n)]
@@ -373,16 +401,13 @@ def suite_conjugation(n: int) -> SuiteResult:
     net = build_net(ctx, _net_ids(ctx)[0])
     f = conjugation_matrix(net)
     g = spinflip_matrix(net)
-    u = np.array([[1.0 + 0.0j]])
-    sy = np.array([[0, -1j], [1j, 0]])
-    for _ in range(n):
-        u = np.kron(u, sy)
+    u = pauli_words(n)[int("2" * n, 4)]
     for _ in range(10):
         st = random_density(n, rng)
         w = dwf_from_rho(st, net)
         conj_w = dwf_from_rho(DensityState(n, st.rho.conj()), net)
         r.expect(np.max(np.abs(f @ w.w - conj_w.w)) < 1e-10, "F W != W(conj rho)")
-        flipped = DensityState(n, u @ st.rho.conj() @ u.conj().T)
+        flipped = DensityState(n, u @ st.rho.conj() @ u)
         r.expect(
             np.max(np.abs(g @ w.w - dwf_from_rho(flipped, net).w)) < 1e-10,
             "G W != W(spin-flipped rho)",

@@ -222,6 +222,29 @@ def test_verify_single_suite(capsys):
     assert "1/1 suites passed" in out
 
 
+def test_verify_unknown_suite_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--suite", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["stokes"], '{"n": 0, "rho": [[[1, 0]]]}'),
+        (["stokes"], state_doc(6, np.eye(64) / 64)),
+        (["to-rho"], '{"n": 6, "net": 0, "w": [1.0]}'),
+    ],
+    ids=["stokes-n0", "stokes-n6", "to-rho-n6"],
+)
+def test_unsupported_qubit_count_exits_2(capsys, monkeypatch, argv, doc):
+    code, out, err = run(capsys, argv, doc, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert 'field "n"' in err
+
+
 @pytest.mark.parametrize(
     "argv, doc, field",
     [

@@ -16,7 +16,6 @@ from dwfnet import (
     translate_net_id,
 )
 from dwfnet.errors import UnsupportedDimensionError, ValidationError
-from dwfnet.nets import _qubit_point_indices
 from dwfnet.phasespace import Point
 
 I2 = np.eye(2)
@@ -208,7 +207,7 @@ def test_product_factors_reconstruct():
     net = build_net(ctx2, 10)
     fa = build_net(ctx1, report.factor_a_net)
     fb = build_net(ctx1, report.factor_b_conj_net)
-    for idx, (i1, i2) in enumerate(_qubit_point_indices(ctx2)):
+    for idx, (i1, i2) in enumerate(ctx2.table.labels):
         a1 = fa.point_ops[i1]
         a2 = fb.point_ops[i2].conj()
         assert np.allclose(np.kron(a1, a2), net.point_ops[idx], atol=1e-10)

@@ -13,6 +13,9 @@ from dwfnet import (
     spinflip_matrix,
     stokes_from_rho,
 )
+from dwfnet import translations
+from dwfnet.nets import id_of
+from dwfnet.verify import dense_conjugation, dense_hadamard, dense_spinflip
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -28,6 +31,7 @@ def bell_state():
 
 def test_pauli_words_basics():
     words = pauli_words(2)
+    assert pauli_words is translations.pauli_words  # built in one place
     assert words.shape == (16, 4, 4)
     assert np.allclose(words[0], np.eye(4))
     # index j = j1*4 + j2, first qubit most significant
@@ -141,3 +145,22 @@ def test_bell_state_spinflip_invariant():
     w = dwf_from_rho(bell_state(), net).w
     g = spinflip_matrix(net)
     assert np.allclose(g @ w, w, atol=1e-10)
+
+
+def test_hadamard_matches_dense_oracle_at_four_qubits():
+    ctx = net_context(4)
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        digits = [int(d) for d in rng.integers(0, ctx.order, ctx.order + 1)]
+        net = build_net(ctx, id_of(digits, ctx.order))
+        assert np.array_equal(hadamard_matrix(net).h, dense_hadamard(net))
+
+
+def test_conjugation_and_spinflip_match_dense_definitions():
+    rng = np.random.default_rng(43)
+    for m in [1, 2, 3]:
+        ctx = net_context(m)
+        for net_id in [0, ctx.net_count - 1, int(rng.integers(ctx.net_count))]:
+            net = build_net(ctx, net_id)
+            assert np.array_equal(conjugation_matrix(net), dense_conjugation(net))
+            assert np.array_equal(spinflip_matrix(net), dense_spinflip(net))

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from dwfnet import GF2m, PhaseSpace, Point, net_context
-from dwfnet.errors import NonCommutingError
-from dwfnet.translations import (
-    TranslationTable,
-    build_eigensystems,
-    translation_matrix,
-)
+from dwfnet.errors import NetConstructionError, NonCommutingError
+from dwfnet.translations import TranslationTable, build_eigensystems, pauli_words
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -19,22 +15,50 @@ def dagger(a):
 
 
 def test_single_qubit_operators():
-    fld = GF2m(1)
-    assert np.allclose(translation_matrix(fld, Point(0, 0)), I2)
-    assert np.allclose(translation_matrix(fld, Point(1, 0)), X)
-    assert np.allclose(translation_matrix(fld, Point(0, 1)), Z)
-    assert np.allclose(translation_matrix(fld, Point(1, 1)), X @ Z)
+    table = net_context(1).table
+    assert np.array_equal(table[Point(0, 0)], I2)
+    assert np.array_equal(table[Point(1, 0)], X)
+    assert np.array_equal(table[Point(0, 1)], Z)
+    assert np.array_equal(table[Point(1, 1)], X @ Z)
 
 
 def test_two_qubit_expansion_uses_dual_basis():
     # q expands in the polynomial basis, p in the trace-dual basis;
     # for GF(4): q=1 -> bits (1,0), dual expansion of p=1 -> bits (0,1)
-    fld = GF2m(2)
-    t = translation_matrix(fld, Point(1, 1))
-    assert np.allclose(t, np.kron(X, Z))
-    t2 = translation_matrix(fld, Point(2, 3))
+    table = net_context(2).table
+    assert np.array_equal(table[Point(1, 1)], np.kron(X, Z))
     # q=w -> (0,1) primal; p=w^2 -> (1,0) dual
-    assert np.allclose(t2, np.kron(Z, X))
+    assert np.array_equal(table[Point(2, 3)], np.kron(Z, X))
+
+
+def test_labels_and_stokes_indices():
+    # label 2x + z per qubit; Stokes digit [I, sigma_z, sigma_x, sigma_y][label]
+    table = net_context(2).table
+    assert table.labels[Point(1, 1).index(4)].tolist() == [2, 1]  # X (x) Z
+    assert table.pauli[Point(1, 1).index(4)] == 1 * 4 + 3
+    assert table.labels[Point(3, 2).index(4)].tolist() == [3, 3]  # XZ (x) XZ
+    assert table.pauli[Point(3, 2).index(4)] == 2 * 4 + 2
+    for m in [1, 2, 3]:
+        table = net_context(m).table
+        n = 2**m
+        assert sorted(table.pauli) == list(range(n * n))
+        for alpha, t in enumerate(table.matrices):
+            word = pauli_words(m)[table.pauli[alpha]]
+            ratio = np.trace(word @ t) / n
+            assert ratio in (1, -1j, -1, 1j)
+            assert np.array_equal(t, ratio * word)
+
+
+def test_signs_are_ray_word_eigenvalues():
+    # P_d Sigma = signs[d, k] P_d for the k-th non-identity ray word
+    for m in [1, 2, 3]:
+        ctx = net_context(m)
+        for es in ctx.eigensystems:
+            assert es.signs.shape == (ctx.order, ctx.order - 1)
+            words = pauli_words(m)[ctx.table.pauli[es.ray[1:]]]
+            for d, p in enumerate(es.states):
+                for k, word in enumerate(words):
+                    assert np.array_equal(p @ word, es.signs[d, k] * p)
 
 
 def test_table_is_unitary_and_traceless():
@@ -183,6 +207,15 @@ def test_misconfigured_duality_raises():
     ps = PhaseSpace(fld)
     with pytest.raises(NonCommutingError):
         build_eigensystems(ps, TranslationTable(ps))
+
+
+def test_misassigned_ray_words_raise():
+    # ray words whose traces on the states are not +-1 stop the build
+    ps = PhaseSpace(GF2m(2))
+    table = TranslationTable(ps)
+    table.pauli = table.pauli[::-1]
+    with pytest.raises(NetConstructionError):
+        build_eigensystems(ps, table)
 
 
 def test_composition_phase():
