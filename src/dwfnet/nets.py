@@ -9,13 +9,18 @@ most significant.
 
 Translations only permute a striation's eigenstates, by the integer table
 `StriationEigensystem.flips`, so line projectors, translation orbits and
-product detection are all exact integer bookkeeping.
+product detection are all exact integer bookkeeping.  So is the net's +-1
+Hadamard matrix H[j, alpha] = Tr(Sigma_j A_alpha), which every transform
+reads: it is built from the striation sign tables, cached by id within a
+byte budget, and never needs the point operators.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -30,6 +35,44 @@ from .phasespace import PhaseSpace, Point
 from .translations import CONJ_SIGNS, TranslationTable, build_eigensystems
 
 FULL_ENUMERATION_LIMIT = 4  # N above this needs explicit sampling
+# Byte budget of each per-net matrix cache: six times the census workload's
+# Hadamard matrices (about 10 MiB), or eight n = 5 Hadamard matrices.
+CACHE_BYTES = 64 * 2**20
+
+
+def bytes_lru(nbytes):
+    """Memoize a function of hashable positional arguments, evicting the
+    least recently used results once their total `nbytes(result)` exceeds
+    CACHE_BYTES (read at each insertion).  The newest result always stays.
+    The wrapper's `cache` attribute is the ordered {arguments: result} map,
+    oldest first.
+    """
+
+    def decorate(fn):
+        cache = OrderedDict()
+        lock = threading.Lock()
+        total = 0
+
+        @wraps(fn)
+        def cached(*key):
+            nonlocal total
+            with lock:
+                if key in cache:
+                    cache.move_to_end(key)
+                    return cache[key]
+            value = fn(*key)
+            with lock:
+                if key not in cache:
+                    cache[key] = value
+                    total += nbytes(value)
+                    while total > CACHE_BYTES and len(cache) > 1:
+                        total -= nbytes(cache.popitem(last=False)[1])
+                return cache[key]
+
+        cached.cache = cache
+        return cached
+
+    return decorate
 
 
 class NetContext:
@@ -82,32 +125,44 @@ def id_of(digits, order: int) -> int:
 
 
 class QuantumNet:
-    """A built net: one projector per line and the N^2 point operators.
+    """A net: one projector per line and the N^2 point operators.
 
     The line of striation s through point alpha is the ray moved by
     T_alpha, so its projector is that striation's state
     `digit ^ flips[alpha]`, and A_alpha = sum of those N+1 projectors - I.
-    `point_ops` are views into the stacked (N^2, N, N) `ops_array`.
+    The transforms only need the id; `projectors`, `ops_array` and
+    `point_ops` (views into the stacked (N^2, N, N) `ops_array`) are built
+    on first access.
     """
 
     def __init__(self, ctx: NetContext, net_id: int) -> None:
         self.ctx = ctx
         self.net_id = net_id
         self.digits = digits_of(net_id, ctx.order)
-        n = ctx.order
-        space = ctx.space
 
-        # (striation_id, c) -> rank-one projector
-        self.projectors = {}
-        ops = np.repeat(-np.eye(n, dtype=complex)[None], n * n, axis=0)
-        for es, st, digit in zip(ctx.eigensystems, space.striations, self.digits):
-            for c in range(n):
+    @cached_property
+    def projectors(self) -> dict:
+        """(striation_id, c) -> rank-one projector of that line."""
+        space = self.ctx.space
+        projectors = {}
+        for es, st, digit in zip(self.ctx.eigensystems, space.striations, self.digits):
+            for c in range(self.order):
                 shift = space.representative_shift(st.striation_id, c)
                 flip = es.flips[space.point_index(shift)]
-                self.projectors[(st.striation_id, c)] = es.states[digit ^ flip]
+                projectors[(st.striation_id, c)] = es.states[digit ^ flip]
+        return projectors
+
+    @cached_property
+    def ops_array(self) -> np.ndarray:
+        n = self.order
+        ops = np.repeat(-np.eye(n, dtype=complex)[None], n * n, axis=0)
+        for es, digit in zip(self.ctx.eigensystems, self.digits):
             ops += es.states[digit ^ es.flips]
-        self.ops_array = ops
-        self.point_ops = tuple(ops)
+        return ops
+
+    @cached_property
+    def point_ops(self) -> tuple:
+        return tuple(self.ops_array)
 
     @property
     def order(self) -> int:
@@ -122,6 +177,37 @@ class QuantumNet:
 
     def point_op(self, pt: Point) -> np.ndarray:
         return self.point_ops[self.ctx.space.point_index(pt)]
+
+
+@dataclass(frozen=True)
+class HadamardMatrix:
+    """The +-1 matrix with H[j, alpha] = Tr(Sigma_j A_alpha) for one net."""
+
+    n: int
+    net_id: int
+    h: np.ndarray  # float64, exactly +-1
+
+    @property
+    def inverse(self) -> np.ndarray:
+        return self.h.T / float(4**self.n)
+
+
+@bytes_lru(lambda hm: hm.h.nbytes)
+def _hadamard_by_id(n: int, net_id: int) -> HadamardMatrix:
+    """Row 0 is all ones; every other word lies on one striation's ray and
+    takes that striation's sign on the state the net puts on each point's
+    line."""
+    ctx = net_context(n)
+    h = np.ones((ctx.order**2, ctx.order**2))
+    for es, digit in zip(ctx.eigensystems, digits_of(net_id, ctx.order)):
+        h[ctx.table.pauli[es.ray[1:]]] = es.signs[digit ^ es.flips].T
+    h.flags.writeable = False  # shared by every caller through the cache
+    return HadamardMatrix(n, net_id, h)
+
+
+def hadamard_matrix(net: QuantumNet) -> HadamardMatrix:
+    """Net-dependent Hadamard matrix realizing S = H W and W = H^T S / N^2."""
+    return _hadamard_by_id(net.n_qubits, net.net_id)
 
 
 def build_net(ctx: NetContext, net_id: int) -> QuantumNet:
@@ -208,10 +294,7 @@ class ProductReport:
 @lru_cache(maxsize=1)
 def _single_qubit_hadamards():
     """Hadamard matrices of the 8 single-qubit nets, indexed by net id."""
-    from .stokes import hadamard_matrix  # stokes imports this module
-
-    ctx = net_context(1)
-    return tuple(hadamard_matrix(QuantumNet(ctx, i)).h for i in range(8))
+    return tuple(_hadamard_by_id(1, i).h for i in range(8))
 
 
 def _factor_net(columns: np.ndarray, labels) -> int | None:
@@ -247,8 +330,6 @@ def detect_product_structure(net: QuantumNet) -> ProductReport:
     """
     if net.n_qubits != 2:
         raise UnsupportedNetError("product-structure detection is defined for n=2")
-    from .stokes import hadamard_matrix  # stokes imports this module
-
     h = hadamard_matrix(net).h.reshape(4, 4, 16)  # [j1, j2, alpha]
     if not np.array_equal(h, h[:, :1] * h[:1, :]):
         return ProductReport(False, "none")

@@ -14,7 +14,7 @@ concurrence evaluator for pure two-qubit states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .errors import (
     UnsupportedNetError,
     ValidationError,
 )
-from .nets import QuantumNet, detect_product_structure
-from .stokes import _hadamard_by_id
+from .nets import QuantumNet, _hadamard_by_id, bytes_lru, detect_product_structure
 from .wigner import WignerFunction, purity_from_dwf
 
 
@@ -39,6 +38,9 @@ class KeepSet:
 
     def __post_init__(self):
         keep = tuple(self.keep)
+        if any(isinstance(q, bool) or not isinstance(q, Integral) for q in keep):
+            raise ValidationError(f"keep positions {keep} must be integers")
+        keep = tuple(int(q) for q in keep)
         if not keep:
             raise ValidationError("keep set must be non-empty")
         if list(keep) != sorted(set(keep)) or keep[0] < 0 or keep[-1] >= self.n:
@@ -81,12 +83,13 @@ class ReductionMap:
     p: np.ndarray
 
 
-@lru_cache(maxsize=4096)
+@bytes_lru(lambda rmap: rmap.p.nbytes)
 def _reduction_map_cached(n: int, keep: tuple, source_net: int, target_net: int):
     ks = KeepSet(n, keep)
     h_n = _hadamard_by_id(n, source_net)
     h_k = _hadamard_by_id(ks.k, target_net)
     p = h_k.inverse @ h_n.h[_kept_rows(ks)]
+    p.flags.writeable = False  # shared by every caller through the cache
     return ReductionMap(ks, source_net, target_net, p)
 
 

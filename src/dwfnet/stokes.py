@@ -8,24 +8,28 @@ this convention H has pure +-1 entries, H^{-1} = H^T / N^2, and the
 subsystem selection matrices of the reduction engine are plain 0/1
 matrices.  A 1/2^n rescaling recovers the normalized convention.
 
-H is exact integer bookkeeping on the net context's tables: row 0 is all
-ones, and each non-identity word lies on one striation's ray, so its row
-is that striation's `signs` on the state the net puts on the line through
-each point.  F and G are diagonal sign matrices in Stokes space,
-H^T diag(y) H / N^2, with y the sign each word picks up under complex
-conjugation (F) or under the spin flip (G).
+`stokes_from_rho` is the per-qubit Pauli transform
+`translations.pauli_coefficients`, O(n 4^n) with no stack of Pauli words.
+H is exact bookkeeping on the net context's tables, built and cached by
+id in `nets` (re-exported here): row 0 is all ones, and each non-identity
+word lies on one striation's ray, so its row is that striation's `signs`
+on the state the net puts on the line through each point.  F and G are
+diagonal sign matrices in Stokes space, H^T diag(y) H / N^2, with y the
+sign each word picks up under complex conjugation (F) or under the spin
+flip (G).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
 from .errors import ValidationError
-from .nets import QuantumNet, digits_of, net_context
-from .translations import CONJ_SIGNS, pauli_words
+# HadamardMatrix, hadamard_matrix and pauli_words are re-exported here
+from .nets import HadamardMatrix, QuantumNet, hadamard_matrix
+from .translations import CONJ_SIGNS, pauli_coefficients, pauli_words
 from .wigner import DensityState
 
 # sigma_y conj(sigma_j) sigma_y = _FLIP_SIGNS[j] sigma_j
@@ -46,43 +50,16 @@ class StokesVector:
 
 def stokes_from_rho(state: DensityState) -> StokesVector:
     """s_j = Tr(rho Sigma_j); s[0] = 1 for unit-trace inputs."""
-    vals = np.einsum("jab,ba->j", pauli_words(state.n), state.rho)
+    vals = pauli_coefficients(state.rho, state.n)
     if np.max(np.abs(vals.imag)) > 1e-10:
         raise ValidationError("Stokes components carry imaginary residue")
     return StokesVector(state.n, vals.real)
 
 
-@dataclass(frozen=True)
-class HadamardMatrix:
-    """The +-1 matrix with H[j, alpha] = Tr(Sigma_j A_alpha) for one net."""
-
-    n: int
-    net_id: int
-    h: np.ndarray  # integer entries, exactly +-1
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self.h.T / float(4**self.n)
-
-
-@lru_cache(maxsize=4096)
-def _hadamard_by_id(n: int, net_id: int) -> HadamardMatrix:
-    ctx = net_context(n)
-    h = np.ones((ctx.order**2, ctx.order**2), dtype=np.int64)
-    for es, digit in zip(ctx.eigensystems, digits_of(net_id, ctx.order)):
-        h[ctx.table.pauli[es.ray[1:]]] = es.signs[digit ^ es.flips].T
-    return HadamardMatrix(n, net_id, h)
-
-
-def hadamard_matrix(net: QuantumNet) -> HadamardMatrix:
-    """Net-dependent Hadamard matrix realizing S = H W and W = H^T S / N^2."""
-    return _hadamard_by_id(net.n_qubits, net.net_id)
-
-
 def _sandwich(net: QuantumNet, single_signs) -> np.ndarray:
     """H^T diag(y) H / N^2, y the product of the words' per-qubit signs."""
     y = reduce(np.kron, [single_signs] * net.n_qubits)
-    h = hadamard_matrix(net).h.astype(float)
+    h = hadamard_matrix(net).h
     return (h.T * y) @ h / h.shape[0]
 
 

@@ -4,6 +4,10 @@ eigensystems.
 `pauli_words(n)` is the one place Pauli words are built.  Word j is
 sigma_{j_1} (x) ... (x) sigma_{j_n} with j = sum_i j_i * 4^(n-i) (first
 qubit most significant) and 0,1,2,3 <-> I, sigma_x, sigma_y, sigma_z.
+The transforms never build them: `pauli_coefficients` takes an operator
+to its coefficients Tr(rho Sigma_j) and `operator_from_pauli` back, one
+4x4 map per qubit on the operator regrouped into per-qubit
+(row, column) pairs, in O(n 4^n).
 
 The operator attached to the shift (q, p) is the Pauli word
 X^{q_1} Z^{p_1} (x) ... (x) X^{q_n} Z^{p_n}, with q expanded in the
@@ -45,6 +49,12 @@ _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 _ODD = np.array([bin(v).count("1") & 1 for v in range(32)], dtype=np.int64)
 
 
+# T[j, 2a + b] = sigma_j[b, a], so T @ vec(rho) = (Tr(rho sigma_j))_j on one
+# qubit; the inverse takes (s_j)_j to sum_j s_j sigma_j / 2
+_TO_PAULI = np.array([s.T.ravel() for s in _SIGMA])
+_FROM_PAULI = np.array([s.ravel() for s in _SIGMA]).T / 2
+
+
 @lru_cache(maxsize=8)
 def pauli_words(n: int) -> np.ndarray:
     """All 4^n Pauli words as a (4^n, 2^n, 2^n) array in index order."""
@@ -52,6 +62,35 @@ def pauli_words(n: int) -> np.ndarray:
     for _ in range(n):
         words = [np.kron(w, s) for w in words for s in _SIGMA]
     return np.array(words)
+
+
+def _per_qubit(x: np.ndarray, single: np.ndarray, n: int) -> np.ndarray:
+    """Apply the 4x4 map `single` to each base-4 digit of x's index.
+
+    Each pass splits off the leading qubit, maps it and moves it last, so
+    after n passes every qubit is mapped and back in place.
+    """
+    for _ in range(n):
+        x = (single @ x.reshape(4, -1)).T
+    return x.ravel()
+
+
+def pauli_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
+    """s_j = Tr(rho Sigma_j) for all 4^n Pauli words, in O(n 4^n).
+
+    rho is regrouped into interleaved per-qubit (row, column) pairs and
+    one 4x4 map is applied per qubit; no word is ever built.
+    """
+    pairs = [axis for q in range(n) for axis in (q, q + n)]
+    x = rho.reshape((2,) * (2 * n)).transpose(pairs).reshape(-1)
+    return _per_qubit(x, _TO_PAULI, n)
+
+
+def operator_from_pauli(s: np.ndarray, n: int) -> np.ndarray:
+    """sum_j s_j Sigma_j / 2^n, the inverse of `pauli_coefficients`."""
+    x = _per_qubit(s, _FROM_PAULI, n).reshape((2,) * (2 * n))
+    rows_then_cols = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return x.transpose(rows_then_cols).reshape(2**n, 2**n)
 
 
 class TranslationTable:

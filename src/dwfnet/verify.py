@@ -283,7 +283,15 @@ def suite_wigner_roundtrip(n: int) -> SuiteResult:
         for st in states:
             w = dwf_from_rho(st, net)
             r.expect(abs(w.w.sum() - 1.0) < 1e-10, "normalization fails")
+            r.expect(
+                np.max(np.abs(w.w - dense_dwf(st, net))) < 1e-12,
+                f"net {net_id}: W != (1/N) Tr(rho A_alpha)",
+            )
             back = rho_from_dwf(w, net)
+            r.expect(
+                np.max(np.abs(back.rho - dense_rho(w, net))) < 1e-12,
+                f"net {net_id}: rho != sum_alpha w_alpha A_alpha",
+            )
             r.expect(
                 np.max(np.abs(back.rho - st.rho)) < 1e-10, "round trip fails"
             )
@@ -319,6 +327,22 @@ def suite_wigner_roundtrip(n: int) -> SuiteResult:
     return r
 
 
+def dense_dwf(state, net) -> np.ndarray:
+    """Oracle for W: (1/N) Tr(rho A_alpha) from the dense point operators,
+    complex so that an imaginary residue shows."""
+    return np.einsum("kab,ba->k", net.ops_array, state.rho) / net.order
+
+
+def dense_rho(w, net) -> np.ndarray:
+    """Oracle for rho: sum_alpha w_alpha A_alpha from the dense point operators."""
+    return np.einsum("k,kab->ab", w.w, net.ops_array)
+
+
+def dense_stokes(state) -> np.ndarray:
+    """Oracle for S: Tr(rho Sigma_j) from the dense stack of Pauli words."""
+    return np.einsum("jab,ba->j", pauli_words(state.n), state.rho)
+
+
 def dense_hadamard(net) -> np.ndarray:
     """Oracle for H: Tr(Sigma_j A_alpha) from the dense operator stacks."""
     return np.einsum("jab,kba->jk", pauli_words(net.n_qubits), net.ops_array)
@@ -345,6 +369,10 @@ def suite_hadamard_bridge(n: int, states: int = 50) -> SuiteResult:
     rng = np.random.default_rng(SEED)
     fixed = [random_density(n, rng) for _ in range(states)]
     stokes = [stokes_from_rho(st) for st in fixed]
+    for st, s in zip(fixed, stokes):
+        r.expect(
+            np.max(np.abs(s.s - dense_stokes(st))) < 1e-12, "S != Tr(rho Sigma_j)"
+        )
     eye = (nn * nn) * np.eye(nn * nn, dtype=np.int64)
     for net_id in _net_ids(ctx):
         net = build_net(ctx, net_id)
@@ -356,11 +384,10 @@ def suite_hadamard_bridge(n: int, states: int = 50) -> SuiteResult:
         r.expect(
             np.array_equal(h.h @ h.h.T, eye), f"net {net_id}: H H^T != N^2 I"
         )
-        hf = h.h.astype(float)
         for st, s in zip(fixed, stokes):
             w = dwf_from_rho(st, net)
             r.expect(
-                np.max(np.abs(hf @ w.w - s.s)) < 1e-9,
+                np.max(np.abs(h.h @ w.w - s.s)) < 1e-9,
                 f"net {net_id}: S != H W",
             )
             r.expect(

@@ -4,6 +4,11 @@ The Wigner value at point alpha is (1/N) Tr(rho A_alpha) for the net's
 point operator A_alpha; the inverse is rho = sum_alpha w_alpha A_alpha.
 Both are linear and well defined on any Hermitian unit-trace operator, so
 positivity violations only warn.
+
+Both run through Stokes space and never build a point operator: the
+per-qubit Pauli transform gives s_j = Tr(rho Sigma_j), and the net's
+cached +-1 Hadamard matrix H[j, alpha] = Tr(Sigma_j A_alpha) gives
+W = H^T S / N^2 and S = H W.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NetMismatchError, ValidationError
-from .nets import QuantumNet
+from .nets import QuantumNet, _hadamard_by_id
 from .phasespace import Line
+from .translations import operator_from_pauli, pauli_coefficients
 
 HERM_TOL = 1e-10
 PSD_TOL = -1e-9
@@ -87,17 +93,20 @@ def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
         raise ValidationError(
             f"state has n={state.n} but net is for n={net.n_qubits}"
         )
-    vals = np.einsum("kab,ba->k", net.ops_array, state.rho) / n_order
-    if np.max(np.abs(vals.imag)) > HERM_TOL:
+    s = pauli_coefficients(state.rho, state.n)
+    h = _hadamard_by_id(net.n_qubits, net.net_id).h
+    # real and imaginary parts in one product: W = S^T H / N^2
+    real, imag = np.stack((s.real, s.imag)) @ h / n_order**2
+    if np.max(np.abs(imag)) > HERM_TOL:
         raise ValidationError("Wigner values carry imaginary residue; input not Hermitian")
-    return WignerFunction(state.n, net.net_id, vals.real)
+    return WignerFunction(state.n, net.net_id, real)
 
 
 def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
     """rho = sum_alpha w_alpha A_alpha; inverse of dwf_from_rho."""
     _check_net(w, net)
-    rho = np.einsum("k,kab->ab", w.w, net.ops_array)
-    return DensityState(w.n, rho)
+    h = _hadamard_by_id(net.n_qubits, net.net_id).h
+    return DensityState(w.n, operator_from_pauli(h @ w.w, w.n))
 
 
 def line_probability(w: WignerFunction, line: Line) -> float:

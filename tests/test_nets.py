@@ -4,19 +4,30 @@ import numpy as np
 import pytest
 
 from dwfnet import (
+    KeepSet,
     QuantumNet,
     build_net,
     classify_nets,
+    concurrence_from_dwf,
+    convert_net,
     detect_product_structure,
     digits_of,
+    dwf_from_rho,
     enumerate_nets,
     hadamard_matrix,
     id_of,
     net_context,
+    random_pure,
+    reduce_dwf,
+    reduction_map,
+    rho_from_dwf,
+    spinflip_matrix,
     translate_net_id,
 )
+from dwfnet import nets
 from dwfnet.errors import UnsupportedDimensionError, ValidationError
 from dwfnet.phasespace import Point
+from dwfnet.reduction import _reduction_map_cached
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -234,3 +245,55 @@ def test_conjugate_of_eq6_net_is_eq7():
             break
     else:
         pytest.fail("conjugate net not found in enumeration")
+
+
+def test_transforms_build_no_point_operators():
+    # every transform works from the net id; point operators stay unbuilt
+    ctx2, ctx1 = net_context(2), net_context(1)
+    net = build_net(ctx2, 777)
+    state = random_pure(2, np.random.default_rng(23))
+    w = dwf_from_rho(state, net)
+    rho_from_dwf(w, net)
+    reduce_dwf(w, reduction_map(net, build_net(ctx1, 5), KeepSet(2, (1,))))
+    convert_net(w, build_net(ctx2, 12))
+    spinflip_matrix(net)
+    concurrence_from_dwf(w, net)
+    assert not {"ops_array", "point_ops", "projectors"} & set(vars(net))
+    # built on first access
+    assert np.allclose(net.ops_array.sum(axis=0), 4 * np.eye(4), atol=1e-12)
+    assert net.point_ops[3] is not None and "projectors" not in vars(net)
+
+
+def test_byte_bounded_cache_evicts_oldest_first(monkeypatch):
+    monkeypatch.setattr(nets, "CACHE_BYTES", 3 * 800)
+    calls = []
+
+    @nets.bytes_lru(lambda a: a.nbytes)
+    def zeros(k):
+        calls.append(k)
+        return np.zeros(100)  # 800 bytes
+
+    for k in range(5):
+        zeros(k)
+    assert list(zeros.cache) == [(2,), (3,), (4,)]
+    zeros(2)  # a hit refreshes 2, so 3 is now the oldest
+    zeros(5)
+    assert list(zeros.cache) == [(4,), (2,), (5,)]
+    assert calls == [0, 1, 2, 3, 4, 5]
+    zeros(0)  # evicted entries are recomputed
+    assert calls[-1] == 0
+
+    # the Hadamard and reduction-map caches hold to the same budget
+    budget = 3 * 64 * 64 * 8  # three n = 3 Hadamard matrices
+    monkeypatch.setattr(nets, "CACHE_BYTES", budget)
+    ctx3, ctx1 = net_context(3), net_context(1)
+    hadamards, maps = nets._hadamard_by_id.cache, _reduction_map_cached.cache
+    fresh = [i for i in range(5000, 5100) if (3, i) not in hadamards][:6]
+    for net_id in fresh:
+        net = build_net(ctx3, net_id)
+        hadamard_matrix(net)
+        reduction_map(net, build_net(ctx1, 0), KeepSet(3, (0,)))
+        assert sum(hm.h.nbytes for hm in hadamards.values()) <= budget
+        assert sum(rm.p.nbytes for rm in maps.values()) <= budget
+    # the newest two stay; the n = 1 target's H holds the rest of the budget
+    assert [(3, i) in hadamards for i in fresh] == [False] * 4 + [True] * 2

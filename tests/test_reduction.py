@@ -48,6 +48,12 @@ def test_keepset_validation():
         KeepSet(2, (1, 0))
     with pytest.raises(ValidationError):
         KeepSet(2, (0, 0))
+    with pytest.raises(ValidationError):
+        KeepSet(2, (0.5,))  # not an integer position
+    with pytest.raises(ValidationError):
+        KeepSet(2, (True,))  # a bool is not a qubit position
+    keep = KeepSet(2, (np.int64(1),)).keep  # numpy integers become ints
+    assert keep == (1,) and type(keep[0]) is int
 
 
 def test_selection_matrix_keep_all_is_identity():

@@ -8,14 +8,18 @@ from dwfnet import (
     WignerFunction,
     build_net,
     dwf_from_rho,
+    id_of,
     line_probability,
     net_context,
     purity_from_dwf,
     random_density,
     random_pure,
     rho_from_dwf,
+    stokes_from_rho,
 )
 from dwfnet.errors import NetMismatchError, ValidationError
+from dwfnet.translations import operator_from_pauli, pauli_coefficients
+from dwfnet.verify import dense_dwf, dense_rho, dense_stokes
 
 
 def bell_state():
@@ -136,3 +140,45 @@ def test_random_density_properties():
         assert np.trace(rho.rho).real == pytest.approx(1.0)
         pure = random_pure(m, rng)
         assert np.trace(pure.rho @ pure.rho).real == pytest.approx(1.0)
+
+
+def test_transforms_match_dense_oracles():
+    # the Stokes-space route against the point-operator and Pauli-word sums
+    rng = np.random.default_rng(17)
+    for m in [1, 2, 3, 4, 5]:
+        ctx = net_context(m)
+        for _ in range(3 if m < 5 else 1):
+            digits = [int(d) for d in rng.integers(0, ctx.order, ctx.order + 1)]
+            net = build_net(ctx, id_of(digits, ctx.order))
+            state = random_density(m, rng)
+            w = dwf_from_rho(state, net)
+            assert np.max(np.abs(w.w - dense_dwf(state, net))) < 1e-12
+            back = rho_from_dwf(w, net)
+            assert np.max(np.abs(back.rho - dense_rho(w, net))) < 1e-12
+            s = stokes_from_rho(state)
+            assert np.max(np.abs(s.s - dense_stokes(state))) < 1e-12
+
+
+def test_pauli_transform_round_trip():
+    # the transform is linear and invertible on any operator, Hermitian or not
+    rng = np.random.default_rng(19)
+    for m in [1, 2, 3, 4, 5]:
+        dim = 2**m
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        s = pauli_coefficients(a, m)
+        assert s.shape == (dim * dim,)
+        assert s[0] == pytest.approx(np.trace(a))
+        assert np.max(np.abs(operator_from_pauli(s, m) - a)) < 1e-12
+
+
+def test_imaginary_residue_rejected():
+    # a state that bypassed validation still cannot be transformed
+    ctx = net_context(2)
+    state = DensityState(2, np.eye(4) / 4)
+    skew = np.eye(4, dtype=complex) / 4
+    skew[0, 1] = 1e-6j
+    object.__setattr__(state, "rho", skew)
+    with pytest.raises(ValidationError, match="imaginary residue"):
+        dwf_from_rho(state, build_net(ctx, 9))
+    with pytest.raises(ValidationError, match="imaginary residue"):
+        stokes_from_rho(state)
