@@ -9,10 +9,14 @@ most significant.
 
 Translations only permute a striation's eigenstates, by the integer table
 `StriationEigensystem.flips`, so line projectors, translation orbits and
-product detection are all exact integer bookkeeping.  So is the net's +-1
-Hadamard matrix H[j, alpha] = Tr(Sigma_j A_alpha), which every transform
-reads: it is built from the striation sign tables, cached by id within a
-byte budget, and never needs the point operators.
+product detection are all exact integer bookkeeping.  So is the net's sign
+vector c_j = Tr(Sigma_j A_0), which every transform reads: it is read off
+the striation sign tables and kept in the (x, z) mask layout of
+`translations.xz_tables`.  The net's +-1 Hadamard matrix
+H[j, alpha] = Tr(Sigma_j A_alpha) is diag(c) K, with K the commutation
+signs of the Pauli words and the translations; it is built from c only
+when asked for (reduction maps, F, G, product detection).  Both are cached
+by id within a byte budget and never need the point operators.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .errors import (
 )
 from .ffield import GF2m
 from .phasespace import PhaseSpace, Point
-from .translations import CONJ_SIGNS, TranslationTable, build_eigensystems
+from .translations import CONJ_SIGNS, TranslationTable, build_eigensystems, xz_tables
 
 FULL_ENUMERATION_LIMIT = 4  # N above this needs explicit sampling
 # Byte budget of each per-net matrix cache: six times the census workload's
@@ -43,9 +47,10 @@ CACHE_BYTES = 64 * 2**20
 def bytes_lru(nbytes):
     """Memoize a function of hashable positional arguments, evicting the
     least recently used results once their total `nbytes(result)` exceeds
-    CACHE_BYTES (read at each insertion).  The newest result always stays.
-    The wrapper's `cache` attribute is the ordered {arguments: result} map,
-    oldest first.
+    CACHE_BYTES (read at each insertion).  Without concurrent hits the
+    newest result always stays.  A hit takes no lock; a miss computes
+    outside the lock and inserts under it.  The wrapper's `cache` attribute
+    is the ordered {arguments: result} map, oldest first.
     """
 
     def decorate(fn):
@@ -56,18 +61,29 @@ def bytes_lru(nbytes):
         @wraps(fn)
         def cached(*key):
             nonlocal total
-            with lock:
-                if key in cache:
+            # a hit takes no lock: each OrderedDict call is atomic, and an
+            # entry evicted between the two calls is still a valid result
+            try:
+                value = cache[key]
+            except KeyError:
+                pass
+            else:
+                try:
                     cache.move_to_end(key)
-                    return cache[key]
+                except KeyError:
+                    pass
+                return value
             value = fn(*key)
             with lock:
-                if key not in cache:
-                    cache[key] = value
-                    total += nbytes(value)
-                    while total > CACHE_BYTES and len(cache) > 1:
-                        total -= nbytes(cache.popitem(last=False)[1])
-                return cache[key]
+                if key in cache:  # another thread stored it first
+                    return cache[key]
+                cache[key] = value
+                total += nbytes(value)
+                # a concurrent hit may have moved older entries past this
+                # one, so it can be evicted here; the caller still gets it
+                while total > CACHE_BYTES and len(cache) > 1:
+                    total -= nbytes(cache.popitem(last=False)[1])
+            return value
 
         cached.cache = cache
         return cached
@@ -76,13 +92,28 @@ def bytes_lru(nbytes):
 
 
 class NetContext:
-    """Per-field cache of everything net construction needs."""
+    """Per-field cache of everything net construction needs.
+
+    `ray_cells[s, k]` is the flat [x, z] cell (see `translations.xz_tables`)
+    of the k-th non-identity word on striation s's ray, and
+    `ray_signs[s, d, k]` its sign on state d of that striation.  The
+    commutation signs K[j, q N + p] of word j and the translation of point
+    q N + p factor as `k_z[j, q] * k_x[j, p]` = WH[z_j, x_q] WH[x_j, z_p].
+    """
 
     def __init__(self, m: int) -> None:
         self.field = GF2m(m)
         self.space = PhaseSpace(self.field)
         self.table = TranslationTable(self.space)
         self.eigensystems = build_eigensystems(self.space, self.table)
+        rays = np.array([es.ray[1:] for es in self.eigensystems])
+        self.ray_cells = self.table.x[rays] * self.order + self.table.z[rays]
+        self.ray_signs = np.array([es.signs for es in self.eigensystems])
+        t = xz_tables(m)
+        xs, zs = np.divmod(t.cells, self.order)  # masks of Stokes word j
+        # point q * N + p has x = table.x[q * N] and z = table.z[p]
+        self.k_x = t.wh[:, self.table.z[: self.order]][xs]
+        self.k_z = t.wh[:, self.table.x[:: self.order]][zs]
 
     @property
     def order(self) -> int:
@@ -192,15 +223,34 @@ class HadamardMatrix:
         return self.h.T / float(4**self.n)
 
 
+@bytes_lru(lambda c: c.nbytes)
+def _signs_by_id(n: int, net_id: int) -> np.ndarray:
+    """The net's sign vector c_j = Tr(Sigma_j A_0) = H[j, 0] in the (x, z)
+    layout of `translations.xz_tables`, read-only float64.
+
+    c[0, 0] = 1; every other word lies on one striation's ray and takes
+    that striation's sign on the state the net puts on the ray.
+    """
+    ctx = net_context(n)
+    striations = np.arange(ctx.order + 1)
+    c = np.ones(ctx.order**2)
+    c[ctx.ray_cells] = ctx.ray_signs[striations, digits_of(net_id, ctx.order)]
+    c = c.reshape(ctx.order, ctx.order)
+    c.flags.writeable = False  # shared by every caller through the cache
+    return c
+
+
 @bytes_lru(lambda hm: hm.h.nbytes)
 def _hadamard_by_id(n: int, net_id: int) -> HadamardMatrix:
-    """Row 0 is all ones; every other word lies on one striation's ray and
-    takes that striation's sign on the state the net puts on each point's
-    line."""
+    """H = diag(c) K.  A_alpha = T_alpha A_0 T_alpha^dag, so
+    K[j, alpha] = (-1)^{x_j . z_alpha + z_j . x_alpha} is the commutation
+    sign of Sigma_j and T_alpha.  K is the same for every net; it is built
+    here in one broadcast from the context's factors `k_z` and `k_x` and
+    not kept (8 MiB at n = 5)."""
     ctx = net_context(n)
-    h = np.ones((ctx.order**2, ctx.order**2))
-    for es, digit in zip(ctx.eigensystems, digits_of(net_id, ctx.order)):
-        h[ctx.table.pauli[es.ray[1:]]] = es.signs[digit ^ es.flips].T
+    c = _signs_by_id(n, net_id).ravel()[xz_tables(n).cells]
+    h = ctx.k_z[:, :, None] * (ctx.k_x * c[:, None])[:, None, :]
+    h = h.reshape(ctx.order**2, ctx.order**2)
     h.flags.writeable = False  # shared by every caller through the cache
     return HadamardMatrix(n, net_id, h)
 

@@ -5,6 +5,9 @@ keep only the Pauli words acting as identity on the traced qubits
 (selection matrix T_k), then map back with the target net's inverse
 Hadamard: P = H_k^{-1} T_k H_n.  Applying P to the Wigner vector of any
 state gives the Wigner vector (in the target net) of the partial trace.
+For k < n the dense 4^k x 4^n P is small and one matvec; net conversion
+(k = n) instead chains the sign-vector halves of `wigner` and builds no
+map.
 
 The marginal-sum and sign-kernel shortcuts for product-structured two-qubit
 nets are provided as an independent cross-check path, together with a
@@ -26,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .nets import QuantumNet, _hadamard_by_id, bytes_lru, detect_product_structure
-from .wigner import WignerFunction, purity_from_dwf
+from .wigner import WignerFunction, _dwf_values, _stokes_xz, purity_from_dwf
 
 
 @dataclass(frozen=True)
@@ -121,11 +124,12 @@ def reduce_dwf(w: WignerFunction, rmap: ReductionMap) -> WignerFunction:
 
 
 def convert_net(w: WignerFunction, target_net: QuantumNet) -> WignerFunction:
-    """Re-express a DWF in another net of the same size (keep-all reduction)."""
+    """Re-express a DWF in another net of the same size: W' = H'^T H W / N^2,
+    run on the sign vectors of both nets without a dense map."""
     if target_net.n_qubits != w.n:
         raise DimensionMismatchError("target net size differs from the input DWF")
-    rmap = _reduction_map_cached(w.n, tuple(range(w.n)), w.net_id, target_net.net_id)
-    return reduce_dwf(w, rmap)
+    values = _dwf_values(_stokes_xz(w), w.n, target_net.net_id)
+    return WignerFunction(w.n, target_net.net_id, values)
 
 
 # -- product-net shortcut (cross-check path) -------------------------------

@@ -8,15 +8,15 @@ this convention H has pure +-1 entries, H^{-1} = H^T / N^2, and the
 subsystem selection matrices of the reduction engine are plain 0/1
 matrices.  A 1/2^n rescaling recovers the normalized convention.
 
-`stokes_from_rho` is the per-qubit Pauli transform
-`translations.pauli_coefficients`, O(n 4^n) with no stack of Pauli words.
-H is exact bookkeeping on the net context's tables, built and cached by
-id in `nets` (re-exported here): row 0 is all ones, and each non-identity
-word lies on one striation's ray, so its row is that striation's `signs`
-on the state the net puts on the line through each point.  F and G are
-diagonal sign matrices in Stokes space, H^T diag(y) H / N^2, with y the
-sign each word picks up under complex conjugation (F) or under the spin
-flip (G).
+`stokes_from_rho` is `translations.pauli_coefficients`: in the (x, z)
+mask layout, where word i^{|x & z|} X^x Z^z sits at [x, z], it is one
+gather of rho[a, a ^ x], one N x N product with the Walsh-Hadamard matrix
+WH[a, z] = (-1)^{|a & z|} and a phase, with no stack of Pauli words.
+H = diag(c) K is exact bookkeeping on the net context's tables, built from
+the net's sign vector c and cached by id in `nets` (re-exported here); the
+transforms read c alone.  F and G are diagonal sign matrices in Stokes
+space, H^T diag(y) H / N^2, with y the sign each word picks up under
+complex conjugation (F) or under the spin flip (G).
 """
 
 from __future__ import annotations

@@ -4,10 +4,14 @@ eigensystems.
 `pauli_words(n)` is the one place Pauli words are built.  Word j is
 sigma_{j_1} (x) ... (x) sigma_{j_n} with j = sum_i j_i * 4^(n-i) (first
 qubit most significant) and 0,1,2,3 <-> I, sigma_x, sigma_y, sigma_z.
-The transforms never build them: `pauli_coefficients` takes an operator
-to its coefficients Tr(rho Sigma_j) and `operator_from_pauli` back, one
-4x4 map per qubit on the operator regrouped into per-qubit
-(row, column) pairs, in O(n 4^n).
+The transforms never build them.  They work in the (x, z) mask layout of
+`xz_tables(n)`: entry [x, z] of an N x N grid belongs to the word
+i^{|x & z|} X^x Z^z, whose Stokes index is `stokes[x, z]`.  There
+Tr(rho X^x Z^z) = sum_a rho[a, a ^ x] (-1)^{|a & z|}, so `pauli_grid` is
+one gather and one N x N product with the +-1 Walsh-Hadamard matrix
+WH[a, z] = (-1)^{|a & z|}, and `operator_from_grid` is one product and
+one gather back.  `pauli_coefficients` and `operator_from_pauli` are the
+same maps in Stokes order.
 
 The operator attached to the shift (q, p) is the Pauli word
 X^{q_1} Z^{p_1} (x) ... (x) X^{q_n} Z^{p_n}, with q expanded in the
@@ -27,6 +31,7 @@ eigenvalue on each of that striation's states is an exact +-1 kept in
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,14 +50,10 @@ CONJ_SIGNS = np.array([1, 1, -1, 1])
 # Stokes digit of the single-qubit translation X^x Z^z, by label 2x + z
 _STOKES_DIGIT = np.array([0, 3, 1, 2])
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
-# parity of every mask below 2^5, the largest supported qubit count
-_ODD = np.array([bin(v).count("1") & 1 for v in range(32)], dtype=np.int64)
-
-
-# T[j, 2a + b] = sigma_j[b, a], so T @ vec(rho) = (Tr(rho sigma_j))_j on one
-# qubit; the inverse takes (s_j)_j to sum_j s_j sigma_j / 2
-_TO_PAULI = np.array([s.T.ravel() for s in _SIGMA])
-_FROM_PAULI = np.array([s.ravel() for s in _SIGMA]).T / 2
+_I_POWERS = _MINUS_I_POWERS.conj()
+# weight and parity of every mask below 2^5, the largest supported qubit count
+_WEIGHT = np.array([bin(v).count("1") for v in range(32)], dtype=np.int64)
+_ODD = _WEIGHT & 1
 
 
 @lru_cache(maxsize=8)
@@ -64,42 +65,84 @@ def pauli_words(n: int) -> np.ndarray:
     return np.array(words)
 
 
-def _per_qubit(x: np.ndarray, single: np.ndarray, n: int) -> np.ndarray:
-    """Apply the 4x4 map `single` to each base-4 digit of x's index.
+@dataclass(frozen=True)
+class XZTables:
+    """Index tables of the (x, z) mask layout for n qubits, N = 2^n.
 
-    Each pass splits off the leading qubit, maps it and moves it last, so
-    after n passes every qubit is mapped and back in place.
+    Entry [x, z] of an (N, N) array belongs to the Pauli word
+    i^{|x & z|} X^x Z^z = Sigma_{stokes[x, z]} (qubit 0 the most
+    significant bit of each mask), and `cells[j]` is the flat [x, z] cell
+    of Stokes index j.  `wh[a, z]` = (-1)^{|a & z|} is the +-1
+    Walsh-Hadamard matrix, `phase[x, z]` = i^{|x & z|}, and `gather[x, a]`
+    and `scatter[b, a]` are flat indices into an N x N array: rho[a, a ^ x]
+    sits at `gather[x, a]` of rho, and rho[b, a] at `scatter[b, a]` of the
+    array M with M[x, a] = rho[a ^ x, a].
     """
-    for _ in range(n):
-        x = (single @ x.reshape(4, -1)).T
-    return x.ravel()
+
+    wh: np.ndarray
+    gather: np.ndarray
+    scatter: np.ndarray
+    phase: np.ndarray
+    stokes: np.ndarray
+    cells: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def xz_tables(n: int) -> XZTables:
+    """The read-only (x, z) layout tables for n qubits, built once per size."""
+    order = 2**n
+    x, z = np.arange(order)[:, None], np.arange(order)[None, :]
+    stokes = 0
+    for bit in range(n - 1, -1, -1):  # qubit 0 first
+        label = 2 * ((x >> bit) & 1) + ((z >> bit) & 1)
+        stokes = 4 * stokes + _STOKES_DIGIT[label]
+    # the same row and column ranges index the (x, a) and (b, a) grids
+    tables = XZTables(
+        wh=np.where(_ODD[x & z], -1.0, 1.0),
+        gather=z * order + (z ^ x),
+        scatter=(z ^ x) * order + z,
+        phase=_I_POWERS[_WEIGHT[x & z] % 4],
+        stokes=stokes,
+        cells=np.argsort(stokes, axis=None),
+    )
+    for arr in vars(tables).values():
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return tables
+
+
+def pauli_grid(rho: np.ndarray, n: int) -> np.ndarray:
+    """s[x, z] = Tr(rho Sigma_{stokes[x, z]}) = i^{|x & z|} (R @ wh)[x, z]
+    with R[x, a] = rho[a, a ^ x]: one gather and one N x N product."""
+    t = xz_tables(n)
+    return t.phase * (rho.ravel()[t.gather] @ t.wh)
+
+
+def operator_from_grid(s: np.ndarray, n: int) -> np.ndarray:
+    """sum_{x, z} s[x, z] Sigma_{stokes[x, z]} / 2^n, the inverse of
+    `pauli_grid`: M = (phase * s) @ wh / 2^n holds rho[a ^ x, a] at [x, a]."""
+    t = xz_tables(n)
+    return ((t.phase * s) @ t.wh).ravel()[t.scatter] / 2**n
 
 
 def pauli_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
-    """s_j = Tr(rho Sigma_j) for all 4^n Pauli words, in O(n 4^n).
-
-    rho is regrouped into interleaved per-qubit (row, column) pairs and
-    one 4x4 map is applied per qubit; no word is ever built.
-    """
-    pairs = [axis for q in range(n) for axis in (q, q + n)]
-    x = rho.reshape((2,) * (2 * n)).transpose(pairs).reshape(-1)
-    return _per_qubit(x, _TO_PAULI, n)
+    """s_j = Tr(rho Sigma_j) for all 4^n Pauli words, in Stokes order."""
+    return pauli_grid(rho, n).ravel()[xz_tables(n).cells]
 
 
 def operator_from_pauli(s: np.ndarray, n: int) -> np.ndarray:
     """sum_j s_j Sigma_j / 2^n, the inverse of `pauli_coefficients`."""
-    x = _per_qubit(s, _FROM_PAULI, n).reshape((2,) * (2 * n))
-    rows_then_cols = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return x.transpose(rows_then_cols).reshape(2**n, 2**n)
+    return operator_from_grid(s[xz_tables(n).stokes], n)
 
 
 class TranslationTable:
     """All N^2 translation operators for one field, indexed by point index.
 
     `labels[alpha, i]` is 2 x_i + z_i for qubit i (qubit 0 first) of the
-    Pauli word at point index alpha, `pauli[alpha]` its Stokes index, and
+    Pauli word at point index alpha, `pauli[alpha]` its Stokes index,
     `x[alpha]`, `z[alpha]` its X and Z bit masks (qubit 0 most
-    significant).  `matrices` is the (N^2, N, N) stack of the operators.
+    significant), and `grid[alpha]` = z[alpha] * N + x[alpha] its flat
+    position in an N x N grid indexed by [z, x].  `matrices` is the
+    (N^2, N, N) stack of the operators.
     """
 
     def __init__(self, space: PhaseSpace) -> None:
@@ -112,6 +155,7 @@ class TranslationTable:
         weights = 1 << np.arange(m)[::-1]
         self.x = np.repeat(qbits @ weights, n)
         self.z = np.tile(pbits @ weights, n)
+        self.grid = self.z * n + self.x
         self.labels = (2 * qbits[:, None] + pbits[None, :]).reshape(n * n, m)
         digits = _STOKES_DIGIT[self.labels]
         self.pauli = digits @ (1 << 2 * np.arange(m)[::-1])

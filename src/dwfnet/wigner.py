@@ -5,23 +5,32 @@ point operator A_alpha; the inverse is rho = sum_alpha w_alpha A_alpha.
 Both are linear and well defined on any Hermitian unit-trace operator, so
 positivity violations only warn.
 
-Both run through Stokes space and never build a point operator: the
-per-qubit Pauli transform gives s_j = Tr(rho Sigma_j), and the net's
-cached +-1 Hadamard matrix H[j, alpha] = Tr(Sigma_j A_alpha) gives
-W = H^T S / N^2 and S = H W.
+Both run through Stokes space in the (x, z) mask layout of
+`translations.xz_tables` and never build a point operator or the net's
+dense Hadamard matrix.  With H = diag(c) K, the net's sign vector c and
+the Walsh-Hadamard matrix WH, and point alpha placed at [z_alpha, x_alpha]
+of an N x N grid:
+
+    W = H^T S / N^2:  W_grid = WH (S c) WH / N^2   (`_dwf_values`)
+    S = H W:          S = (WH W_grid WH) c         (`_stokes_xz`)
+
+so each transform is a gather, two or three N x N products and a product
+with c.  Net conversion (`reduction.convert_net`) chains the two halves.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NetMismatchError, ValidationError
-from .nets import QuantumNet, _hadamard_by_id
+from .nets import QuantumNet, _signs_by_id, net_context
 from .phasespace import Line
-from .translations import operator_from_pauli, pauli_coefficients
+from .translations import operator_from_grid, pauli_grid, xz_tables
 
 HERM_TOL = 1e-10
 PSD_TOL = -1e-9
@@ -45,13 +54,18 @@ class DensityState:
             raise ValidationError("rho is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-8:
             raise ValidationError(f"rho has trace {np.trace(rho).real!r}, not 1")
-        smallest = float(np.linalg.eigvalsh(rho)[0])
-        if smallest < PSD_TOL:
-            warnings.warn(
-                f"rho has negative eigenvalue {smallest:.3e}; transforms remain "
-                "well defined on Hermitian inputs",
-                stacklevel=2,
-            )
+        # rho - PSD_TOL I has a Cholesky factor when no eigenvalue of rho
+        # lies below PSD_TOL, so only a failure needs the eigenvalues
+        try:
+            np.linalg.cholesky(rho - PSD_TOL * np.eye(dim))
+        except np.linalg.LinAlgError:
+            smallest = float(np.linalg.eigvalsh(rho)[0])
+            if smallest < PSD_TOL:
+                warnings.warn(
+                    f"rho has negative eigenvalue {smallest:.3e}; transforms "
+                    "remain well defined on Hermitian inputs",
+                    stacklevel=2,
+                )
         object.__setattr__(self, "rho", rho)
 
 
@@ -67,10 +81,11 @@ class WignerFunction:
         w = np.asarray(self.w, dtype=float)
         if w.shape != (4**self.n,):
             raise ValidationError(f"w must have length {4 ** self.n} for n={self.n}")
-        if not np.isfinite(w).all():
+        total = w.sum()
+        if not math.isfinite(total) and not np.isfinite(w).all():
             raise ValidationError('field "w" has a non-finite entry')
-        if abs(w.sum() - 1.0) > 1e-8:
-            raise ValidationError(f"Wigner function sums to {w.sum()!r}, not 1")
+        if abs(total - 1.0) > 1e-8:
+            raise ValidationError(f"Wigner function sums to {total!r}, not 1")
         object.__setattr__(self, "w", w)
 
     @property
@@ -86,27 +101,47 @@ def _check_net(obj, net: QuantumNet):
         )
 
 
+@lru_cache(maxsize=8)
+def _layout(n: int) -> tuple:
+    """WH and each point's flat [z, x] grid cell: one cached lookup per
+    transform half."""
+    return xz_tables(n).wh, net_context(n).table.grid
+
+
+def _dwf_values(s: np.ndarray, n: int, net_id: int) -> np.ndarray:
+    """Wigner values on the net of the Stokes grid s[x, z] (see
+    `translations.xz_tables`): w_alpha = (WH (s c) WH)[z_alpha, x_alpha] / N^2,
+    the product H^T S / N^2 with H = diag(c) K."""
+    wh, grid = _layout(n)
+    v = wh @ (s * _signs_by_id(n, net_id)) @ wh
+    return v.ravel()[grid] / 4**n
+
+
+def _stokes_xz(w: WignerFunction) -> np.ndarray:
+    """The Stokes grid s[x, z] of a DWF: (WH W_grid WH) c with
+    W_grid[z_alpha, x_alpha] = w_alpha, the product S = H W."""
+    wh, grid = _layout(w.n)
+    values = np.empty(4**w.n)
+    values[grid] = w.w
+    return (wh @ values.reshape(wh.shape) @ wh) * _signs_by_id(w.n, w.net_id)
+
+
 def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
     """w_alpha = (1/N) Tr(rho A_alpha)."""
-    n_order = net.order
     if state.n != net.n_qubits:
         raise ValidationError(
             f"state has n={state.n} but net is for n={net.n_qubits}"
         )
-    s = pauli_coefficients(state.rho, state.n)
-    h = _hadamard_by_id(net.n_qubits, net.net_id).h
-    # real and imaginary parts in one product: W = S^T H / N^2
-    real, imag = np.stack((s.real, s.imag)) @ h / n_order**2
-    if np.max(np.abs(imag)) > HERM_TOL:
+    w = _dwf_values(pauli_grid(state.rho, state.n), state.n, net.net_id)
+    if np.max(np.abs(w.imag)) > HERM_TOL:
         raise ValidationError("Wigner values carry imaginary residue; input not Hermitian")
-    return WignerFunction(state.n, net.net_id, real)
+    return WignerFunction(state.n, net.net_id, w.real)
 
 
 def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
     """rho = sum_alpha w_alpha A_alpha; inverse of dwf_from_rho."""
     _check_net(w, net)
-    h = _hadamard_by_id(net.n_qubits, net.net_id).h
-    return DensityState(w.n, operator_from_pauli(h @ w.w, w.n))
+    return DensityState(w.n, operator_from_grid(_stokes_xz(w), w.n))
 
 
 def line_probability(w: WignerFunction, line: Line) -> float:

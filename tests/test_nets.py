@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,17 +19,21 @@ from dwfnet import (
     hadamard_matrix,
     id_of,
     net_context,
+    random_density,
     random_pure,
     reduce_dwf,
     reduction_map,
     rho_from_dwf,
     spinflip_matrix,
+    stokes_from_rho,
     translate_net_id,
 )
 from dwfnet import nets
 from dwfnet.errors import UnsupportedDimensionError, ValidationError
 from dwfnet.phasespace import Point
 from dwfnet.reduction import _reduction_map_cached
+from dwfnet.translations import xz_tables
+from dwfnet.verify import dense_hadamard
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -186,6 +192,19 @@ def test_net_id_contract_fingerprint():
     )
 
 
+def test_sign_vector_is_dense_hadamard_origin_column():
+    # c_j = Tr(Sigma_j A_0), against the point-operator oracle for all n = 2
+    # nets and the fingerprint's 64 strided n = 3 ids
+    ctx2, ctx3 = net_context(2), net_context(3)
+    stride = ctx3.net_count // 64
+    for ctx, ids in ((ctx2, range(ctx2.net_count)), (ctx3, range(0, ctx3.net_count, stride))):
+        stokes = xz_tables(ctx.n_qubits).stokes
+        for net_id in ids:
+            c = np.empty(ctx.order**2)
+            c[stokes] = nets._signs_by_id(ctx.n_qubits, net_id)
+            assert np.array_equal(c, dense_hadamard(build_net(ctx, net_id))[:, 0])
+
+
 def test_conjugated_net_matches_translated_id():
     ctx = net_context(2)
     net = build_net(ctx, 42)
@@ -262,6 +281,64 @@ def test_transforms_build_no_point_operators():
     # built on first access
     assert np.allclose(net.ops_array.sum(axis=0), 4 * np.eye(4), atol=1e-12)
     assert net.point_ops[3] is not None and "projectors" not in vars(net)
+
+
+def test_transforms_build_no_dense_matrix():
+    # the transforms and net conversion read sign vectors only: neither the
+    # Hadamard cache nor the reduction-map cache gains an entry
+    hadamards, maps = nets._hadamard_by_id.cache, _reduction_map_cached.cache
+    before = set(hadamards), set(maps)
+    rng = np.random.default_rng(31)
+    for m in [3, 4, 5]:  # other tests cache H for every n <= 2 net
+        ctx = net_context(m)
+        digits = rng.integers(0, ctx.order, (2, ctx.order + 1)).tolist()
+        net, other = (build_net(ctx, id_of(d, ctx.order)) for d in digits)
+        assert (m, net.net_id) not in hadamards and (m, other.net_id) not in hadamards
+        state = random_density(m, rng)
+        w = dwf_from_rho(state, net)
+        rho_from_dwf(w, net)
+        stokes_from_rho(state)
+        convert_net(w, other)
+    assert (set(hadamards), set(maps)) == before
+
+
+def test_byte_bounded_cache_is_thread_safe(monkeypatch):
+    # four threads on a two-entry budget, so hits race evictions: every call
+    # returns the right result, and the byte count stays exact, so later
+    # insertions keep exactly two entries
+    monkeypatch.setattr(nets, "CACHE_BYTES", 2 * 800)
+
+    @nets.bytes_lru(lambda a: a.nbytes)
+    def filled(k):
+        return np.full(100, float(k))  # 800 bytes
+
+    failures = []
+
+    def hammer(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for k in rng.integers(0, 4, 5000).tolist():
+                if not np.array_equal(filled(k), np.full(100, float(k))):
+                    failures.append(k)
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often to provoke races
+    try:
+        threads = [threading.Thread(target=hammer, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert sum(a.nbytes for a in filled.cache.values()) <= nets.CACHE_BYTES
+    for k in range(100, 110):
+        filled(k)
+    assert list(filled.cache) == [(108,), (109,)]
 
 
 def test_byte_bounded_cache_evicts_oldest_first(monkeypatch):

@@ -9,6 +9,7 @@ from dwfnet import (
     convert_net,
     detect_product_structure,
     dwf_from_rho,
+    id_of,
     shortcut_reduce,
     net_context,
     random_density,
@@ -177,6 +178,27 @@ def test_convert_net_preserves_state():
     assert wb.net_id == 901
     assert np.allclose(wb.w, dwf_from_rho(rho, b).w, atol=1e-10)
     assert np.allclose(convert_net(wb, a).w, w.w, atol=1e-10)
+
+
+def test_convert_net_matches_keep_all_map_and_direct_transform():
+    # the sign-vector route against the dense keep-all reduction map and
+    # against transforming the state on the target net directly
+    rng = np.random.default_rng(41)
+    for m in [1, 2, 3, 4, 5]:
+        ctx = net_context(m)
+        keep_all = KeepSet(m, tuple(range(m)))
+        for _ in range(3 if m < 5 else 1):
+            src, tgt = (
+                build_net(ctx, id_of(rng.integers(0, ctx.order, ctx.order + 1).tolist(), ctx.order))
+                for _ in range(2)
+            )
+            state = random_density(m, rng)
+            w = dwf_from_rho(state, src)
+            converted = convert_net(w, tgt)
+            assert converted.net_id == tgt.net_id
+            dense = reduce_dwf(w, reduction_map(src, tgt, keep_all))
+            assert np.max(np.abs(converted.w - dense.w)) < 1e-12
+            assert np.max(np.abs(converted.w - dwf_from_rho(state, tgt).w)) < 1e-12
 
 
 def test_net_mismatch_in_reduce():

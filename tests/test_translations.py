@@ -3,7 +3,14 @@ import pytest
 
 from dwfnet import GF2m, PhaseSpace, Point, net_context
 from dwfnet.errors import NetConstructionError, NonCommutingError
-from dwfnet.translations import TranslationTable, build_eigensystems, pauli_words
+from dwfnet.translations import (
+    TranslationTable,
+    build_eigensystems,
+    operator_from_pauli,
+    pauli_coefficients,
+    pauli_words,
+    xz_tables,
+)
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -47,6 +54,33 @@ def test_labels_and_stokes_indices():
             ratio = np.trace(word @ t) / n
             assert ratio in (1, -1j, -1, 1j)
             assert np.array_equal(t, ratio * word)
+
+
+def test_xz_tables_match_translation_words():
+    # [x, z] holds i^{|x & z|} X^x Z^z = Sigma_{stokes[x, z]}, the word of
+    # the translation with masks (x, z)
+    for m in [1, 2, 3]:
+        table, t = net_context(m).table, xz_tables(m)
+        assert np.array_equal(t.stokes[table.x, table.z], table.pauli)
+        assert np.array_equal(t.stokes.ravel()[t.cells], np.arange(4**m))
+        words = pauli_words(m)[table.pauli]
+        assert np.array_equal(t.phase[table.x, table.z, None, None] * table.matrices, words)
+        assert np.array_equal(t.wh @ t.wh, 2**m * np.eye(2**m))
+        assert xz_tables(m) is t and not t.wh.flags.writeable
+
+
+def test_pauli_transform_matches_word_oracle():
+    # against the explicit words, on operators that are not Hermitian
+    rng = np.random.default_rng(29)
+    for m in [1, 2, 3, 4, 5]:
+        dim = 2**m
+        words = pauli_words(m)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        s = pauli_coefficients(a, m)
+        assert np.max(np.abs(s - np.einsum("jab,ba->j", words, a))) < 1e-12
+        c = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+        expected = np.einsum("j,jab->ab", c, words) / dim
+        assert np.max(np.abs(operator_from_pauli(c, m) - expected)) < 1e-12
 
 
 def test_signs_are_ray_word_eigenvalues():

@@ -48,6 +48,42 @@ def test_wigner_function_validation():
         WignerFunction(1, 0, np.array([1.0, 0.0]))  # wrong length
 
 
+def test_negativity_warning_threshold():
+    # the warning fires below PSD_TOL = -1e-9 and prints the eigenvalue
+    for smallest, warns in ((-2e-9, True), (-5e-10, False)):
+        rho = np.diag([1.0 - smallest, smallest])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            DensityState(1, rho)
+        messages = [str(w.message) for w in caught]
+        if warns:
+            assert len(messages) == 1 and "negative eigenvalue -2.000e-09" in messages[0]
+        else:
+            assert not messages
+    rng = np.random.default_rng(37)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in [1, 2, 3, 4]:
+            random_pure(m, rng)
+            DensityState(m, np.eye(2**m) / 2**m)
+
+
+def test_wigner_function_rejects_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.full(4, 0.25)
+        w[2] = bad
+        with pytest.raises(ValidationError, match="non-finite entry"):
+            WignerFunction(1, 0, w)
+    # the sum is taken first, so numpy's own inf - inf and overflow warnings
+    # may precede the error
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValidationError, match="non-finite entry"):
+            WignerFunction(1, 0, np.array([np.inf, -np.inf, 0.5, 0.5]))
+        # finite entries whose sum overflows are a sum error, not a non-finite one
+        with pytest.raises(ValidationError, match=r"sums to (np\.float64\()?inf"):
+            WignerFunction(1, 0, np.array([1e308, 1e308, 0.0, 0.0]))
+
+
 def test_maximally_mixed_is_uniform():
     for m in [1, 2]:
         ctx = net_context(m)
