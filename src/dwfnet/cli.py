@@ -33,8 +33,8 @@ from .reduction import (
     reduce_dwf,
     reduction_map,
 )
-from .stokes import conjugation_matrix, spinflip_matrix, stokes_from_rho
-from .wigner import WignerFunction, dwf_from_rho, rho_from_dwf
+from .stokes import conjugate_dwf, spinflip_dwf, stokes_from_rho
+from .wigner import dwf_from_rho, rho_from_dwf
 from .verify import SUITES, run_suites
 
 
@@ -110,17 +110,10 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _cmd_spinflip(args) -> int:
+def _cmd_sign_map(args) -> int:
     w = jsonio.parse_dwf(_read(args.input))
-    g = spinflip_matrix(_net_for(w.n, w.net_id))
-    _write(args.output, jsonio.dwf_to_doc(WignerFunction(w.n, w.net_id, g @ w.w)))
-    return 0
-
-
-def _cmd_conjugate(args) -> int:
-    w = jsonio.parse_dwf(_read(args.input))
-    f = conjugation_matrix(_net_for(w.n, w.net_id))
-    _write(args.output, jsonio.dwf_to_doc(WignerFunction(w.n, w.net_id, f @ w.w)))
+    digits_of(w.net_id, 2**w.n)  # G and F need no net, but a bad id is an error
+    _write(args.output, jsonio.dwf_to_doc(args.apply(w)))
     return 0
 
 
@@ -204,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spinflip", help="apply the spin-flip matrix G")
     io_args(p)
-    p.set_defaults(func=_cmd_spinflip)
+    p.set_defaults(func=_cmd_sign_map, apply=spinflip_dwf)
 
     p = sub.add_parser("conjugate", help="apply the conjugation matrix F")
     io_args(p)
-    p.set_defaults(func=_cmd_conjugate)
+    p.set_defaults(func=_cmd_sign_map, apply=conjugate_dwf)
 
     p = sub.add_parser("nets", help="net atlas / classification")
     p.add_argument("--n", type=int, required=True, help="qubit count")

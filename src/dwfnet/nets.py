@@ -10,13 +10,12 @@ most significant.
 Translations only permute a striation's eigenstates, by the integer table
 `StriationEigensystem.flips`, so line projectors, translation orbits and
 product detection are all exact integer bookkeeping.  So is the net's sign
-vector c_j = Tr(Sigma_j A_0), which every transform reads: it is read off
-the striation sign tables and kept in the (x, z) mask layout of
-`translations.xz_tables`.  The net's +-1 Hadamard matrix
-H[j, alpha] = Tr(Sigma_j A_alpha) is diag(c) K, with K the commutation
-signs of the Pauli words and the translations; it is built from c only
-when asked for (reduction maps, F, G, product detection).  Both are cached
-by id within a byte budget and never need the point operators.
+vector c_j = Tr(Sigma_j A_0), read off the striation sign tables and kept
+in the (x, z) mask layout of `translations.xz_tables`; every transform and
+map reads c alone.  The net's +-1 Hadamard matrix
+H[j, alpha] = Tr(Sigma_j A_alpha) = diag(c) K, with K the commutation signs
+of the Pauli words and the translations, is built only by `hadamard_matrix`.
+Both are cached by id within a byte budget, with no point operator.
 """
 
 from __future__ import annotations
@@ -341,36 +340,19 @@ class ProductReport:
     factor_b_conj_net: int | None = None  # net matching the conjugated second factor
 
 
-@lru_cache(maxsize=1)
-def _single_qubit_hadamards():
-    """Hadamard matrices of the 8 single-qubit nets, indexed by net id."""
-    return tuple(_hadamard_by_id(1, i).h for i in range(8))
-
-
-def _factor_net(columns: np.ndarray, labels) -> int | None:
-    """Single-qubit net whose Hadamard matrix holds the factor's Bloch
-    columns, provided each column depends only on its point's label."""
-    family = np.zeros((4, 4), dtype=columns.dtype)
-    family[:, labels] = columns
-    if not np.array_equal(family[:, labels], columns):
-        return None
-    for net_id, h in enumerate(_single_qubit_hadamards()):
-        if np.array_equal(h, family):
-            return net_id
-    return None
+def _single_qubit_net(c: np.ndarray) -> int:
+    """The one single-qubit net whose sign grid is c (c[0, 0] = 1)."""
+    return next(i for i in range(8) if np.array_equal(_signs_by_id(1, i), c))
 
 
 def detect_product_structure(net: QuantumNet) -> ProductReport:
     """Decide whether every point operator splits as a tensor product whose
     factors form single-qubit point-operator families.
 
-    The test is exact integer work on the net's +-1 Hadamard matrix
-    H[j, alpha] = Tr(Sigma_j A_alpha) with j = 4*j1 + j2: A_alpha is a
-    product of unit-trace factors exactly when
-    H[4*j1 + j2, alpha] = H[4*j1, alpha] * H[j2, alpha], and the factors'
-    Bloch columns are then H[4*j1, alpha] and H[j2, alpha].  The first
-    factor must match a single-qubit net's H, the complex-conjugated second
-    factor likewise.
+    Exact integer work on the sign grid c: for j = 4*j1 + j2,
+    K[j, alpha] = K[4*j1, alpha] K[j2, alpha], so A_alpha factors exactly when
+    c[j] = c[4*j1] c[j2], into the single-qubit nets with signs c[4*j1] and
+    c[j2]; the second is reported conjugated (Y flipped).
 
     The 32 product-structured two-qubit nets fall into two translation
     orbits whose projectors are entrywise complex conjugates of each other.
@@ -380,13 +362,10 @@ def detect_product_structure(net: QuantumNet) -> ProductReport:
     """
     if net.n_qubits != 2:
         raise UnsupportedNetError("product-structure detection is defined for n=2")
-    h = hadamard_matrix(net).h.reshape(4, 4, 16)  # [j1, j2, alpha]
-    if not np.array_equal(h, h[:, :1] * h[:1, :]):
+    c = _signs_by_id(2, net.net_id).reshape(2, 2, 2, 2)  # [x0, x1, z0, z1] by qubit
+    first, second = c[:, 0, :, 0], c[0, :, 0, :]
+    if not np.array_equal(c, c[:, :1, :, :1] * c[:1, :, :1, :]):
         return ProductReport(False, "none")
-    labels = net.ctx.table.labels  # per point: single-qubit point indices
-    net_a = _factor_net(h[:, 0], labels[:, 0])
-    net_b_conj = _factor_net(h[0] * CONJ_SIGNS[:, None], labels[:, 1])
-    if net_a is None or net_b_conj is None:
-        return ProductReport(False, "none")
-    parity = np.prod(_single_qubit_hadamards()[net_a][1:, 0])
-    return ProductReport(True, "eq6" if parity > 0 else "eq7", net_a, net_b_conj)
+    net_a = _single_qubit_net(first)
+    net_b_conj = _single_qubit_net(second * CONJ_SIGNS[xz_tables(1).stokes])
+    return ProductReport(True, "eq6" if first.prod() > 0 else "eq7", net_a, net_b_conj)

@@ -5,9 +5,8 @@ keep only the Pauli words acting as identity on the traced qubits
 (selection matrix T_k), then map back with the target net's inverse
 Hadamard: P = H_k^{-1} T_k H_n.  Applying P to the Wigner vector of any
 state gives the Wigner vector (in the target net) of the partial trace.
-For k < n the dense 4^k x 4^n P is small and one matvec; net conversion
-(k = n) instead chains the sign-vector halves of `wigner` and builds no
-map.
+P is diagonal in Stokes space, with signs c_k c_n on the kept words: stored
+for k < n, and never built for net conversion (k = n).
 
 The marginal-sum and sign-kernel shortcuts for product-structured two-qubit
 nets are provided as an independent cross-check path, together with a
@@ -17,6 +16,7 @@ concurrence evaluator for pure two-qubit states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -28,8 +28,15 @@ from .errors import (
     UnsupportedNetError,
     ValidationError,
 )
-from .nets import QuantumNet, _hadamard_by_id, bytes_lru, detect_product_structure
-from .wigner import WignerFunction, _dwf_values, _stokes_xz, purity_from_dwf
+from .nets import QuantumNet, _signs_by_id, bytes_lru, detect_product_structure
+from .translations import xz_tables
+from .wigner import (
+    WignerFunction,
+    _layout,
+    _sign_matrix,
+    _sign_sandwich,
+    purity_from_dwf,
+)
 
 
 @dataclass(frozen=True)
@@ -57,14 +64,18 @@ class KeepSet:
         return len(self.keep)
 
 
-def _kept_rows(keep: KeepSet) -> np.ndarray:
-    """Row r of the selection matrix: the n-qubit index of k-qubit index r."""
-    rows = np.zeros(1, dtype=np.int64)
-    for pos in range(keep.n):
-        rows = 4 * rows
-        if pos in keep.keep:
-            rows = (rows[:, None] + np.arange(4)).ravel()
-    return rows
+@lru_cache(maxsize=64)
+def _kept_cells(n: int, keep: tuple) -> tuple:
+    """Read-only index tables of a keep set: `words[x', z']`, the n-qubit
+    (x, z) cell of the kept word with k-qubit masks (x', z'), and
+    `points[alpha]`, the k-qubit [z, x] grid cell of point alpha's kept bits."""
+    k = len(keep)
+    bits = (np.arange(2**k)[:, None] >> np.arange(k)[::-1]) & 1
+    spread = bits @ (1 << (n - 1 - np.array(keep)))
+    words = spread[:, None] * 2**n + spread  # ascending, as `spread` is
+    points = np.searchsorted(words.ravel(), _layout(n)[1] & words[-1, -1])
+    words.flags.writeable = points.flags.writeable = False
+    return words, points
 
 
 def selection_matrix(keep: KeepSet) -> np.ndarray:
@@ -73,7 +84,8 @@ def selection_matrix(keep: KeepSet) -> np.ndarray:
     Row r (a k-qubit Pauli index) selects the n-qubit Pauli index whose
     digits equal r's digits on kept positions and 0 on traced positions.
     """
-    return np.eye(4**keep.n, dtype=np.int64)[_kept_rows(keep)]
+    cells = _kept_cells(keep.n, keep.keep)[0].ravel()[xz_tables(keep.k).cells]
+    return np.eye(4**keep.n, dtype=np.int64)[xz_tables(keep.n).stokes.ravel()[cells]]
 
 
 @dataclass(frozen=True)
@@ -89,9 +101,9 @@ class ReductionMap:
 @bytes_lru(lambda rmap: rmap.p.nbytes)
 def _reduction_map_cached(n: int, keep: tuple, source_net: int, target_net: int):
     ks = KeepSet(n, keep)
-    h_n = _hadamard_by_id(n, source_net)
-    h_k = _hadamard_by_id(ks.k, target_net)
-    p = h_k.inverse @ h_n.h[_kept_rows(ks)]
+    words, points = _kept_cells(n, ks.keep)
+    y = _signs_by_id(ks.k, target_net) * _signs_by_id(n, source_net).ravel()[words]
+    p = _sign_matrix(y, points)
     p.flags.writeable = False  # shared by every caller through the cache
     return ReductionMap(ks, source_net, target_net, p)
 
@@ -125,11 +137,11 @@ def reduce_dwf(w: WignerFunction, rmap: ReductionMap) -> WignerFunction:
 
 def convert_net(w: WignerFunction, target_net: QuantumNet) -> WignerFunction:
     """Re-express a DWF in another net of the same size: W' = H'^T H W / N^2,
-    run on the sign vectors of both nets without a dense map."""
+    diagonal in Stokes space with the signs c c' of both nets."""
     if target_net.n_qubits != w.n:
         raise DimensionMismatchError("target net size differs from the input DWF")
-    values = _dwf_values(_stokes_xz(w), w.n, target_net.net_id)
-    return WignerFunction(w.n, target_net.net_id, values)
+    y = _signs_by_id(w.n, w.net_id) * _signs_by_id(w.n, target_net.net_id)
+    return WignerFunction(w.n, target_net.net_id, _sign_sandwich(w.w, y))
 
 
 # -- product-net shortcut (cross-check path) -------------------------------

@@ -8,15 +8,11 @@ this convention H has pure +-1 entries, H^{-1} = H^T / N^2, and the
 subsystem selection matrices of the reduction engine are plain 0/1
 matrices.  A 1/2^n rescaling recovers the normalized convention.
 
-`stokes_from_rho` is `translations.pauli_coefficients`: in the (x, z)
-mask layout, where word i^{|x & z|} X^x Z^z sits at [x, z], it is one
-gather of rho[a, a ^ x], one N x N product with the Walsh-Hadamard matrix
-WH[a, z] = (-1)^{|a & z|} and a phase, with no stack of Pauli words.
-H = diag(c) K is exact bookkeeping on the net context's tables, built from
-the net's sign vector c and cached by id in `nets` (re-exported here); the
-transforms read c alone.  F and G are diagonal sign matrices in Stokes
-space, H^T diag(y) H / N^2, with y the sign each word picks up under
-complex conjugation (F) or under the spin flip (G).
+`stokes_from_rho` is `translations.pauli_coefficients`, and H = diag(c) K
+lives in `nets` (re-exported here).  F and G are K^T diag(y) K / N^2 with
+y the sign each word picks up under complex conjugation (F) or the spin
+flip (G), the same for every net: `conjugate_dwf` and `spinflip_dwf` apply
+them through `wigner._sign_sandwich`, the `_matrix` functions build them.
 """
 
 from __future__ import annotations
@@ -29,8 +25,8 @@ import numpy as np
 from .errors import ValidationError
 # HadamardMatrix, hadamard_matrix and pauli_words are re-exported here
 from .nets import HadamardMatrix, QuantumNet, hadamard_matrix
-from .translations import CONJ_SIGNS, pauli_coefficients, pauli_words
-from .wigner import DensityState
+from .translations import CONJ_SIGNS, pauli_coefficients, pauli_words, xz_tables
+from .wigner import DensityState, WignerFunction, _sign_matrix, _sign_sandwich
 
 # sigma_y conj(sigma_j) sigma_y = _FLIP_SIGNS[j] sigma_j
 _FLIP_SIGNS = np.array([1, -1, -1, -1])
@@ -56,11 +52,9 @@ def stokes_from_rho(state: DensityState) -> StokesVector:
     return StokesVector(state.n, vals.real)
 
 
-def _sandwich(net: QuantumNet, single_signs) -> np.ndarray:
-    """H^T diag(y) H / N^2, y the product of the words' per-qubit signs."""
-    y = reduce(np.kron, [single_signs] * net.n_qubits)
-    h = hadamard_matrix(net).h
-    return (h.T * y) @ h / h.shape[0]
+def _word_signs(n: int, single_signs) -> np.ndarray:
+    """The Stokes grid y[x, z] of the product of each word's per-qubit signs."""
+    return reduce(np.multiply.outer, [single_signs] * n).ravel()[xz_tables(n).stokes]
 
 
 def conjugation_matrix(net: QuantumNet) -> np.ndarray:
@@ -69,7 +63,7 @@ def conjugation_matrix(net: QuantumNet) -> np.ndarray:
     F is real, satisfies F @ F = I, and is the same matrix for every net of
     a given size.
     """
-    return _sandwich(net, CONJ_SIGNS)
+    return _sign_matrix(_word_signs(net.n_qubits, CONJ_SIGNS))
 
 
 def spinflip_matrix(net: QuantumNet) -> np.ndarray:
@@ -78,4 +72,16 @@ def spinflip_matrix(net: QuantumNet) -> np.ndarray:
     G is F with rows permuted by the phase-space translation whose operator
     is sigma_y^(xn) up to phase.
     """
-    return _sandwich(net, _FLIP_SIGNS)
+    return _sign_matrix(_word_signs(net.n_qubits, _FLIP_SIGNS))
+
+
+def conjugate_dwf(w: WignerFunction) -> WignerFunction:
+    """F W: the DWF of conj(rho) on the same net, without building F."""
+    y = _word_signs(w.n, CONJ_SIGNS)
+    return WignerFunction(w.n, w.net_id, _sign_sandwich(w.w, y))
+
+
+def spinflip_dwf(w: WignerFunction) -> WignerFunction:
+    """G W: the spin-flipped state's DWF on the same net, without building G."""
+    y = _word_signs(w.n, _FLIP_SIGNS)
+    return WignerFunction(w.n, w.net_id, _sign_sandwich(w.w, y))

@@ -8,6 +8,7 @@ numbers asserted here (sample sizes, tolerances) are the contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -24,8 +25,10 @@ from .nets import (
 from .phasespace import PhaseSpace, Point
 from .reduction import KeepSet, shortcut_reduce, reduce_dwf, reduction_map
 from .stokes import (
+    conjugate_dwf,
     conjugation_matrix,
     hadamard_matrix,
+    spinflip_dwf,
     spinflip_matrix,
     stokes_from_rho,
 )
@@ -192,7 +195,7 @@ def suite_net_traces(n: int) -> SuiteResult:
     eye = nn * np.eye(nn * nn)
     for net_id in _net_ids(ctx):
         ops = build_net(ctx, net_id).ops_array
-        gram = np.einsum("aij,bji->ab", ops, ops)
+        gram = np.einsum("aij,bji->ab", ops, ops, optimize=True)
         r.expect(
             np.max(np.abs(gram - eye)) < 1e-9,
             f"net {net_id} violates Tr(A_a A_b) = N delta",
@@ -345,21 +348,22 @@ def dense_stokes(state) -> np.ndarray:
 
 def dense_hadamard(net) -> np.ndarray:
     """Oracle for H: Tr(Sigma_j A_alpha) from the dense operator stacks."""
-    return np.einsum("jab,kba->jk", pauli_words(net.n_qubits), net.ops_array)
+    words = pauli_words(net.n_qubits)
+    return np.einsum("jab,kba->jk", words, net.ops_array, optimize=True)
 
 
 def dense_conjugation(net) -> np.ndarray:
     """Oracle for F: Tr(conj(A_b) A_a) / N."""
     ops = net.ops_array
-    return np.einsum("bij,aji->ba", ops.conj(), ops) / net.order
+    return np.einsum("bij,aji->ba", ops.conj(), ops, optimize=True) / net.order
 
 
 def dense_spinflip(net) -> np.ndarray:
     """Oracle for G: Tr(sigma_y^(xn) conj(A_b) sigma_y^(xn) A_a) / N."""
     n = net.n_qubits
     u = pauli_words(n)[int("2" * n, 4)]  # sigma_y^(xn), Hermitian
-    ops = net.ops_array
-    return np.einsum("bij,aji->ba", u @ ops.conj() @ u, ops) / net.order
+    flipped = u @ net.ops_array.conj() @ u
+    return np.einsum("bij,aji->ba", flipped, net.ops_array, optimize=True) / net.order
 
 
 def suite_hadamard_bridge(n: int, states: int = 50) -> SuiteResult:
@@ -420,23 +424,22 @@ def suite_conjugation(n: int) -> SuiteResult:
         r.expect(np.array_equal(f, reference), f"net {net_id}: F differs between nets")
         r.expect(np.max(np.abs(f @ f - eye)) < 1e-10, "F^2 != I")
         r.expect(np.max(np.abs(g @ g - eye)) < 1e-10, "G^2 != I")
-        rows = [int(np.argmax(np.abs(g[i] @ f.T))) for i in range(4**n)]
+        rows = np.argmax(np.abs(g @ f.T), axis=1)
         r.expect(
-            np.max(np.abs(g - f[rows])) < 1e-10 and sorted(rows) == list(range(4**n)),
+            np.array_equal(np.sort(rows), np.arange(4**n))
+            and np.array_equal(g, f[rows]),
             f"net {net_id}: G is not a row permutation of F",
         )
     net = build_net(ctx, _net_ids(ctx)[0])
-    f = conjugation_matrix(net)
-    g = spinflip_matrix(net)
     u = pauli_words(n)[int("2" * n, 4)]
     for _ in range(10):
         st = random_density(n, rng)
         w = dwf_from_rho(st, net)
-        conj_w = dwf_from_rho(DensityState(n, st.rho.conj()), net)
-        r.expect(np.max(np.abs(f @ w.w - conj_w.w)) < 1e-10, "F W != W(conj rho)")
+        wc = dwf_from_rho(DensityState(n, st.rho.conj()), net).w
+        r.expect(np.max(np.abs(conjugate_dwf(w).w - wc)) < 1e-10, "F W != W(conj rho)")
         flipped = DensityState(n, u @ st.rho.conj() @ u)
         r.expect(
-            np.max(np.abs(g @ w.w - dwf_from_rho(flipped, net).w)) < 1e-10,
+            np.max(np.abs(spinflip_dwf(w).w - dwf_from_rho(flipped, net).w)) < 1e-10,
             "G W != W(spin-flipped rho)",
         )
     return r
@@ -452,8 +455,6 @@ def partial_trace(rho: np.ndarray, n: int, keep) -> np.ndarray:
 
 
 def _all_keep_sets(n: int):
-    from itertools import combinations
-
     for k in range(1, n + 1):
         yield from (KeepSet(n, c) for c in combinations(range(n), k))
 

@@ -6,16 +6,13 @@ Both are linear and well defined on any Hermitian unit-trace operator, so
 positivity violations only warn.
 
 Both run through Stokes space in the (x, z) mask layout of
-`translations.xz_tables` and never build a point operator or the net's
-dense Hadamard matrix.  With H = diag(c) K, the net's sign vector c and
-the Walsh-Hadamard matrix WH, and point alpha placed at [z_alpha, x_alpha]
-of an N x N grid:
-
-    W = H^T S / N^2:  W_grid = WH (S c) WH / N^2   (`_dwf_values`)
-    S = H W:          S = (WH W_grid WH) c         (`_stokes_xz`)
-
-so each transform is a gather, two or three N x N products and a product
-with c.  Net conversion (`reduction.convert_net`) chains the two halves.
+`translations.xz_tables` on the net's sign vector c, H = diag(c) K, with
+point alpha at [z_alpha, x_alpha] of an N x N grid: K W = WH W_grid WH
+(`_to_stokes`) and K^T S / N^2 = WH S WH / N^2 (`_from_stokes`).  Every
+other map of the package is diagonal in Stokes space: for a +-1 grid y,
+W' = K^T diag(y) K W / N^2 (`_sign_sandwich`).  y = c c' converts between
+nets, F and G take each word's sign under conjugation or the spin flip,
+and a reduction map the signs c_k c_n of the kept words.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ class DensityState:
         if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
             raise ValidationError("rho is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > 1e-8:
-            raise ValidationError(f"rho has trace {np.trace(rho).real!r}, not 1")
+            raise ValidationError(f"rho has trace {float(np.trace(rho).real)}, not 1")
         # rho - PSD_TOL I has a Cholesky factor when no eigenvalue of rho
         # lies below PSD_TOL, so only a failure needs the eigenvalues
         try:
@@ -85,7 +82,7 @@ class WignerFunction:
         if not math.isfinite(total) and not np.isfinite(w).all():
             raise ValidationError('field "w" has a non-finite entry')
         if abs(total - 1.0) > 1e-8:
-            raise ValidationError(f"Wigner function sums to {total!r}, not 1")
+            raise ValidationError(f"Wigner function sums to {float(total)}, not 1")
         object.__setattr__(self, "w", w)
 
     @property
@@ -103,27 +100,39 @@ def _check_net(obj, net: QuantumNet):
 
 @lru_cache(maxsize=8)
 def _layout(n: int) -> tuple:
-    """WH and each point's flat [z, x] grid cell: one cached lookup per
-    transform half."""
-    return xz_tables(n).wh, net_context(n).table.grid
+    """WH, each point's flat [z, x] grid cell and the point at each cell."""
+    grid = net_context(n).table.grid
+    return xz_tables(n).wh, grid, np.argsort(grid)
 
 
-def _dwf_values(s: np.ndarray, n: int, net_id: int) -> np.ndarray:
-    """Wigner values on the net of the Stokes grid s[x, z] (see
-    `translations.xz_tables`): w_alpha = (WH (s c) WH)[z_alpha, x_alpha] / N^2,
-    the product H^T S / N^2 with H = diag(c) K."""
-    wh, grid = _layout(n)
-    v = wh @ (s * _signs_by_id(n, net_id)) @ wh
-    return v.ravel()[grid] / 4**n
+def _from_stokes(s: np.ndarray, n: int) -> np.ndarray:
+    """K^T S / N^2 = (WH s WH)[z_alpha, x_alpha] / N^2 for the grid s[x, z]."""
+    wh, grid, _ = _layout(n)
+    return (wh @ s @ wh).ravel()[grid] / 4**n
 
 
-def _stokes_xz(w: WignerFunction) -> np.ndarray:
-    """The Stokes grid s[x, z] of a DWF: (WH W_grid WH) c with
-    W_grid[z_alpha, x_alpha] = w_alpha, the product S = H W."""
-    wh, grid = _layout(w.n)
-    values = np.empty(4**w.n)
-    values[grid] = w.w
-    return (wh @ values.reshape(wh.shape) @ wh) * _signs_by_id(w.n, w.net_id)
+def _to_stokes(w: np.ndarray, n: int) -> np.ndarray:
+    """K W = WH W_grid WH, W_grid[z_alpha, x_alpha] = w_alpha, as a grid [x, z]."""
+    wh, _, points = _layout(n)
+    return wh @ w[points].reshape(wh.shape) @ wh
+
+
+def _sign_sandwich(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """W' = K^T diag(y) K W / N^2 for a Wigner vector w and a +-1 Stokes
+    grid y[x, z]: the one way a Stokes-diagonal map is applied."""
+    n = len(y).bit_length() - 1
+    return _from_stokes(_to_stokes(w, n) * y, n)
+
+
+def _sign_matrix(y: np.ndarray, cells=None) -> np.ndarray:
+    """The dense matrix D of `_sign_sandwich` with signs y, column alpha at
+    flat [z, x] grid cell `cells[alpha]` (default: each point's own cell).
+    K's columns are characters of the XOR group of (x, z) masks, so
+    D[beta, alpha] = D[beta ^ alpha, 0] = (K^T y)[beta ^ alpha] / N^2."""
+    n = len(y).bit_length() - 1
+    wh, grid, _ = _layout(n)
+    column = (wh @ y @ wh).ravel() / 4**n  # `_from_stokes(y)` on the grid
+    return column[grid[:, None] ^ (grid if cells is None else cells)]
 
 
 def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
@@ -132,7 +141,8 @@ def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
         raise ValidationError(
             f"state has n={state.n} but net is for n={net.n_qubits}"
         )
-    w = _dwf_values(pauli_grid(state.rho, state.n), state.n, net.net_id)
+    c = _signs_by_id(state.n, net.net_id)
+    w = _from_stokes(pauli_grid(state.rho, state.n) * c, state.n)
     if np.max(np.abs(w.imag)) > HERM_TOL:
         raise ValidationError("Wigner values carry imaginary residue; input not Hermitian")
     return WignerFunction(state.n, net.net_id, w.real)
@@ -141,7 +151,8 @@ def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
 def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
     """rho = sum_alpha w_alpha A_alpha; inverse of dwf_from_rho."""
     _check_net(w, net)
-    return DensityState(w.n, operator_from_grid(_stokes_xz(w), w.n))
+    s = _to_stokes(w.w, w.n) * _signs_by_id(w.n, w.net_id)
+    return DensityState(w.n, operator_from_grid(s, w.n))
 
 
 def line_probability(w: WignerFunction, line: Line) -> float:

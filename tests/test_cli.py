@@ -134,6 +134,15 @@ def test_conjugate_involution(capsys, monkeypatch):
     assert np.allclose(json.loads(out2)["w"], json.loads(doc)["w"], atol=1e-12)
 
 
+@pytest.mark.parametrize("command", ["spinflip", "conjugate"])
+def test_sign_maps_reject_bad_net_id(capsys, monkeypatch, command):
+    # F and G need no net, but the input's net id is still checked
+    doc = json.loads(bell_dwf_doc())
+    doc["net"] = 1024
+    code, out, err = run(capsys, [command], jsonio.dumps(doc), monkeypatch)
+    assert code == 2 and not out and "out of range" in err
+
+
 def test_concurrence_bell(capsys, monkeypatch):
     doc = bell_dwf_doc(net_id=7)
     code, out, _ = run(capsys, ["concurrence"], doc, monkeypatch)

@@ -11,6 +11,7 @@ from dwfnet import (
     build_net,
     classify_nets,
     concurrence_from_dwf,
+    conjugate_dwf,
     convert_net,
     detect_product_structure,
     digits_of,
@@ -24,6 +25,7 @@ from dwfnet import (
     reduce_dwf,
     reduction_map,
     rho_from_dwf,
+    spinflip_dwf,
     spinflip_matrix,
     stokes_from_rho,
     translate_net_id,
@@ -284,10 +286,11 @@ def test_transforms_build_no_point_operators():
 
 
 def test_transforms_build_no_dense_matrix():
-    # the transforms and net conversion read sign vectors only: neither the
-    # Hadamard cache nor the reduction-map cache gains an entry
+    # the transforms, net conversion, F, G and reduction maps read sign
+    # vectors only: the Hadamard cache gains no entry, and the reduction-map
+    # cache only the maps asked for
     hadamards, maps = nets._hadamard_by_id.cache, _reduction_map_cached.cache
-    before = set(hadamards), set(maps)
+    before, asked = set(hadamards), set(maps)
     rng = np.random.default_rng(31)
     for m in [3, 4, 5]:  # other tests cache H for every n <= 2 net
         ctx = net_context(m)
@@ -299,7 +302,13 @@ def test_transforms_build_no_dense_matrix():
         rho_from_dwf(w, net)
         stokes_from_rho(state)
         convert_net(w, other)
-    assert (set(hadamards), set(maps)) == before
+        conjugate_dwf(w)
+        spinflip_dwf(w)
+        keep = KeepSet(m, (0, m - 1))
+        target = build_net(net_context(2), int(rng.integers(1024)))
+        reduce_dwf(w, reduction_map(net, target, keep))
+        asked.add((m, keep.keep, net.net_id, target.net_id))
+    assert set(hadamards) == before and set(maps) == asked
 
 
 def test_byte_bounded_cache_is_thread_safe(monkeypatch):
@@ -366,10 +375,12 @@ def test_byte_bounded_cache_evicts_oldest_first(monkeypatch):
     ctx3, ctx1 = net_context(3), net_context(1)
     hadamards, maps = nets._hadamard_by_id.cache, _reduction_map_cached.cache
     fresh = [i for i in range(5000, 5100) if (3, i) not in hadamards][:6]
+    target = build_net(ctx1, 0)
     for net_id in fresh:
         net = build_net(ctx3, net_id)
         hadamard_matrix(net)
-        reduction_map(net, build_net(ctx1, 0), KeepSet(3, (0,)))
+        hadamard_matrix(target)  # refreshed each round, never the oldest
+        reduction_map(net, target, KeepSet(3, (0,)))
         assert sum(hm.h.nbytes for hm in hadamards.values()) <= budget
         assert sum(rm.p.nbytes for rm in maps.values()) <= budget
     # the newest two stay; the n = 1 target's H holds the rest of the budget

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from dwfnet import (
     convert_net,
     detect_product_structure,
     dwf_from_rho,
+    hadamard_matrix,
     id_of,
     shortcut_reduce,
     net_context,
@@ -24,7 +27,7 @@ from dwfnet.errors import (
     UnsupportedNetError,
     ValidationError,
 )
-from dwfnet.verify import partial_trace, suite_reduction_oracle
+from dwfnet.verify import dense_hadamard, partial_trace, suite_reduction_oracle
 
 
 def dwf(rho, n, net_id):
@@ -80,6 +83,30 @@ def test_selection_matrix_three_to_two():
             row = np.zeros(64)
             row[j1 * 16 + j3] = 1.0  # j2 = 0
             assert np.array_equal(t[j1 * 4 + j3], row)
+
+
+def seeded_net(n, rng):
+    ctx = net_context(n)
+    digits = rng.integers(0, ctx.order, ctx.order + 1).tolist()
+    return build_net(ctx, id_of(digits, ctx.order))
+
+
+def test_reduction_map_is_the_paper_formula():
+    # P = H_k^T T_k H_n / 4^k bit for bit, with H from the point-operator
+    # oracle for every keep set at n <= 4
+    rng = np.random.default_rng(47)
+    for n in [1, 2, 3, 4]:
+        src = seeded_net(n, rng)
+        h_n = dense_hadamard(src)
+        for k in range(1, n + 1):
+            for kept in combinations(range(n), k):
+                keep, tgt = KeepSet(n, kept), seeded_net(k, rng)
+                formula = dense_hadamard(tgt).T @ selection_matrix(keep) @ h_n / 4**k
+                assert np.array_equal(reduction_map(src, tgt, keep).p, formula)
+    src, tgt, keep = seeded_net(5, rng), seeded_net(4, rng), KeepSet(5, (0, 1, 3, 4))
+    h_n, h_k = hadamard_matrix(src).h, hadamard_matrix(tgt).h
+    formula = h_k.T @ selection_matrix(keep) @ h_n / 4**4
+    assert np.array_equal(reduction_map(src, tgt, keep).p, formula)
 
 
 def test_reduce_bell_state_is_uniform():
@@ -185,13 +212,9 @@ def test_convert_net_matches_keep_all_map_and_direct_transform():
     # against transforming the state on the target net directly
     rng = np.random.default_rng(41)
     for m in [1, 2, 3, 4, 5]:
-        ctx = net_context(m)
         keep_all = KeepSet(m, tuple(range(m)))
         for _ in range(3 if m < 5 else 1):
-            src, tgt = (
-                build_net(ctx, id_of(rng.integers(0, ctx.order, ctx.order + 1).tolist(), ctx.order))
-                for _ in range(2)
-            )
+            src, tgt = seeded_net(m, rng), seeded_net(m, rng)
             state = random_density(m, rng)
             w = dwf_from_rho(state, src)
             converted = convert_net(w, tgt)

@@ -4,12 +4,14 @@ import pytest
 from dwfnet import (
     DensityState,
     build_net,
+    conjugate_dwf,
     conjugation_matrix,
     dwf_from_rho,
     hadamard_matrix,
     net_context,
     pauli_words,
     random_density,
+    spinflip_dwf,
     spinflip_matrix,
     stokes_from_rho,
 )
@@ -103,30 +105,36 @@ def test_conjugation_matrix_is_involution():
 
 
 def test_conjugation_matrix_action():
+    # F as a matrix and applied to one DWF, against the dense oracle
     rng = np.random.default_rng(9)
     ctx = net_context(2)
     net = build_net(ctx, 7)
-    f = conjugation_matrix(net)
+    f, dense = conjugation_matrix(net), dense_conjugation(net)
     for _ in range(5):
         rho = random_density(2, rng)
-        w = dwf_from_rho(rho, net).w
+        w = dwf_from_rho(rho, net)
         wc = dwf_from_rho(DensityState(2, rho.rho.conj()), net).w
-        assert np.allclose(f @ w, wc, atol=1e-10)
+        for fw in (f @ w.w, conjugate_dwf(w).w):
+            assert np.allclose(fw, wc, atol=1e-10)
+            assert np.max(np.abs(fw - dense @ w.w)) < 1e-12
 
 
 def test_spinflip_matrix_action():
+    # G as a matrix and applied to one DWF, against the dense oracle
     rng = np.random.default_rng(13)
     ctx = net_context(2)
     net = build_net(ctx, 7)
-    g = spinflip_matrix(net)
+    g, dense = spinflip_matrix(net), dense_spinflip(net)
     u = np.kron(Y, Y)
     assert np.allclose(g @ g, np.eye(16), atol=1e-12)
     for _ in range(5):
         rho = random_density(2, rng)
-        w = dwf_from_rho(rho, net).w
+        w = dwf_from_rho(rho, net)
         tilde = u @ rho.rho.conj() @ u.conj().T
         wt = dwf_from_rho(DensityState(2, tilde), net).w
-        assert np.allclose(g @ w, wt, atol=1e-10)
+        for gw in (g @ w.w, spinflip_dwf(w).w):
+            assert np.allclose(gw, wt, atol=1e-10)
+            assert np.max(np.abs(gw - dense @ w.w)) < 1e-12
 
 
 def test_spinflip_is_row_permutation_of_conjugation():

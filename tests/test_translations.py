@@ -6,7 +6,7 @@ from dwfnet.errors import NetConstructionError, NonCommutingError
 from dwfnet.translations import (
     TranslationTable,
     build_eigensystems,
-    operator_from_pauli,
+    operator_from_grid,
     pauli_coefficients,
     pauli_words,
     xz_tables,
@@ -80,7 +80,8 @@ def test_pauli_transform_matches_word_oracle():
         assert np.max(np.abs(s - np.einsum("jab,ba->j", words, a))) < 1e-12
         c = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
         expected = np.einsum("j,jab->ab", c, words) / dim
-        assert np.max(np.abs(operator_from_pauli(c, m) - expected)) < 1e-12
+        grid = c[xz_tables(m).stokes]
+        assert np.max(np.abs(operator_from_grid(grid, m) - expected)) < 1e-12
 
 
 def test_signs_are_ray_word_eigenvalues():

@@ -18,7 +18,7 @@ from dwfnet import (
     stokes_from_rho,
 )
 from dwfnet.errors import NetMismatchError, ValidationError
-from dwfnet.translations import operator_from_pauli, pauli_coefficients
+from dwfnet.translations import operator_from_grid, pauli_coefficients, pauli_grid
 from dwfnet.verify import dense_dwf, dense_rho, dense_stokes
 
 
@@ -46,6 +46,16 @@ def test_wigner_function_validation():
         WignerFunction(1, 0, np.array([0.5, 0.5, 0.5, 0.5]))  # sum != 1
     with pytest.raises(ValidationError):
         WignerFunction(1, 0, np.array([1.0, 0.0]))  # wrong length
+
+
+def test_validation_messages_print_plain_floats():
+    # numpy scalars print as np.float64(...) under numpy 2
+    with pytest.raises(ValidationError) as trace:
+        DensityState(1, np.eye(2))
+    with pytest.raises(ValidationError) as total:
+        WignerFunction(1, 0, np.full(4, 0.5))
+    assert str(trace.value) == "rho has trace 2.0, not 1"
+    assert str(total.value) == "Wigner function sums to 2.0, not 1"
 
 
 def test_negativity_warning_threshold():
@@ -204,7 +214,7 @@ def test_pauli_transform_round_trip():
         s = pauli_coefficients(a, m)
         assert s.shape == (dim * dim,)
         assert s[0] == pytest.approx(np.trace(a))
-        assert np.max(np.abs(operator_from_pauli(s, m) - a)) < 1e-12
+        assert np.max(np.abs(operator_from_grid(pauli_grid(a, m), m) - a)) < 1e-12
 
 
 def test_imaginary_residue_rejected():
