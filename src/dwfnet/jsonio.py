@@ -49,10 +49,6 @@ def _require(doc: dict, key: str, kind) -> object:
     if key not in doc:
         raise ValidationError(f"missing field {key!r}")
     value = doc[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"field {key!r} must be a number")
-        return float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValidationError(f"field {key!r} must be {kind.__name__}")
     return value

@@ -124,8 +124,7 @@ class NetContext:
 
     @property
     def net_count(self) -> int:
-        n = self.order
-        return n ** (n + 1)
+        return _net_count(self.order)
 
 
 @lru_cache(maxsize=None)
@@ -133,11 +132,20 @@ def net_context(m: int) -> NetContext:
     return NetContext(m)
 
 
+@lru_cache(maxsize=None)
+def _net_count(order: int) -> int:
+    return order ** (order + 1)
+
+
+def check_net_id(net_id: int, order: int) -> None:
+    """Reject a net id outside [0, N^(N+1)) with ValidationError."""
+    if not 0 <= net_id < _net_count(order):
+        raise ValidationError(f"net id {net_id} out of range [0, {_net_count(order)})")
+
+
 def digits_of(net_id: int, order: int) -> tuple:
     """Mixed-radix digits of a scalar net id (striation 0 most significant)."""
-    count = order ** (order + 1)
-    if not 0 <= net_id < count:
-        raise ValidationError(f"net id {net_id} out of range [0, {count})")
+    check_net_id(net_id, order)
     digits = []
     for _ in range(order + 1):
         digits.append(net_id % order)

@@ -35,14 +35,6 @@ class Line:
     striation_id: int
     points: tuple  # N Point instances, ascending point index
 
-    @property
-    def line_id(self) -> int:
-        return self.c
-
-    @property
-    def is_ray(self) -> bool:
-        return self.c == 0
-
     def __contains__(self, pt: Point) -> bool:
         return pt in self.points
 
@@ -72,12 +64,8 @@ class PhaseSpace:
         self.order = fld.order
         n = self.order
 
-        directions = [(0, 1), (1, 0)]
-        s = 1
-        for k in range(n - 1):
-            directions.append((1, s))
-            if k + 1 < n - 1:
-                s = fld.mul(s, 2)  # next power of w
+        # w = 2 is the primitive element
+        directions = [(0, 1), (1, 0)] + [(1, fld.pow(2, k)) for k in range(n - 1)]
         self.directions = tuple(directions)
 
         mul = [[fld.mul(a, b) for b in range(n)] for a in range(n)]
@@ -85,22 +73,13 @@ class PhaseSpace:
         striations = []
         for sid, (a, b) in enumerate(directions):
             # the ray {s(a,b)} satisfies b*q + a*p = 0
-            ea, eb = b, a
             members = [[] for _ in range(n)]
             for pt in grid:
-                members[mul[ea][pt.q] ^ mul[eb][pt.p]].append(pt)
+                members[mul[b][pt.q] ^ mul[a][pt.p]].append(pt)
             assert all(len(pts) == n for pts in members)
-            lines = [Line(ea, eb, c, sid, tuple(pts)) for c, pts in enumerate(members)]
+            lines = [Line(b, a, c, sid, tuple(pts)) for c, pts in enumerate(members)]
             striations.append(Striation(sid, a, b, tuple(lines)))
         self.striations = tuple(striations)
-
-        # point index -> list of N+1 lines (one per striation)
-        through = [[] for _ in range(n * n)]
-        for st in self.striations:
-            for ln in st.lines:
-                for pt in ln.points:
-                    through[pt.index(n)].append(ln)
-        self._through = tuple(tuple(ls) for ls in through)
 
     @property
     def points(self):
@@ -112,10 +91,9 @@ class PhaseSpace:
 
     def lines_through(self, pt: Point) -> tuple:
         """The N+1 lines containing `pt`, in striation order."""
-        return self._through[pt.index(self.order)]
-
-    def line(self, striation_id: int, c: int) -> Line:
-        return self.striations[striation_id].lines[c]
+        return tuple(
+            st.lines[self.line_offset(st.striation_id, pt)] for st in self.striations
+        )
 
     def translate_point(self, pt: Point, beta: Point) -> Point:
         """Component-wise field addition (characteristic 2: self-inverse)."""

@@ -25,17 +25,20 @@ stabilizer projectors (Aaronson & Gottesman, quant-ph/0406196), so no
 eigensolver and no floating-point comparison decides any ordering.  Every
 non-identity Pauli word lies on exactly one striation's ray, and its
 eigenvalue on each of that striation's states is an exact +-1 kept in
-`StriationEigensystem.signs`.
+`StriationEigensystem.signs`.  Those tables and `flips` are integer work
+on the masks; the dense operators (`TranslationTable.matrices`) and
+projectors (`StriationEigensystem.states`) are built on first access,
+for the oracles of `verify` and the point operators of `nets`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NetConstructionError, NonCommutingError
+from .errors import NonCommutingError
 from .phasespace import PhaseSpace, Point, Striation
 
 _SIGMA = (
@@ -135,8 +138,8 @@ class TranslationTable:
     Pauli word at point index alpha, `pauli[alpha]` its Stokes index,
     `x[alpha]`, `z[alpha]` its X and Z bit masks (qubit 0 most
     significant), and `grid[alpha]` = z[alpha] * N + x[alpha] its flat
-    position in an N x N grid indexed by [z, x].  `matrices` is the
-    (N^2, N, N) stack of the operators.
+    position in an N x N grid indexed by [z, x].  `matrices`, the
+    (N^2, N, N) stack of the operators, is built on first access.
     """
 
     def __init__(self, space: PhaseSpace) -> None:
@@ -151,10 +154,13 @@ class TranslationTable:
         self.z = np.tile(pbits @ weights, n)
         self.grid = self.z * n + self.x
         self.labels = (2 * qbits[:, None] + pbits[None, :]).reshape(n * n, m)
-        digits = _STOKES_DIGIT[self.labels]
-        self.pauli = digits @ (1 << 2 * np.arange(m)[::-1])
-        phases = _MINUS_I_POWERS[(digits == 2).sum(axis=1) % 4]
-        self.matrices = pauli_words(m)[self.pauli] * phases[:, None, None]
+        self.pauli = _STOKES_DIGIT[self.labels] @ (1 << 2 * np.arange(m)[::-1])
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """X^x Z^z = (-i)^{|x & z|} Sigma_{pauli}, built on first access."""
+        phases = _MINUS_I_POWERS[_WEIGHT[self.x & self.z] % 4]
+        return pauli_words(self.space.field.m)[self.pauli] * phases[:, None, None]
 
     def __getitem__(self, pt: Point) -> np.ndarray:
         return self.matrices[self.space.point_index(pt)]
@@ -171,61 +177,71 @@ class TranslationTable:
 class StriationEigensystem:
     """The commuting translation group of one striation and its eigenbasis.
 
-    `ray[s]` is the point index of s(a,b) for the field element s, and
-    `ops[s]` is T_{s(a,b)}.  The group is generated by g_i = T_{s_i(a,b)}
-    with s_i the i-th polynomial basis element, and `states[d]` is the exact
-    stabilizer projector
+    `ray[s]` is the point index of s(a,b) for the field element s.  The
+    group is generated by g_i = T_{s_i(a,b)} = X^{x_i} Z^{z_i} (point index
+    `gens[i]`) with s_i the i-th polynomial basis element, and `states[d]` is
+    the exact stabilizer projector
 
         prod_i (I + (-1)^{bit_i(d)} g_i / lambda_i) / 2,
 
     with lambda_i = 1 or i as g_i^2 = +I or -I and bit 0 the most
     significant bit of d.  Bit 0 picks the eigenvalue +lambda_i, bit 1 picks
     -lambda_i, so the states run in ascending lexicographic order of the
-    generators' eigenvalue phases.  `states` is an (N, N, N) array.
+    generators' eigenvalue phases.  `states` is an (N, N, N) array built on
+    first access, for the oracles and a net's point operators.
 
     `flips[alpha]` holds the bits of d that the translation with point
     index alpha flips, one commutation bit per generator:
     T_alpha P_d T_alpha^dag = P_{d ^ flips[alpha]}.
 
     `signs[d, k]` = Tr(Sigma_{pauli[ray[k + 1]]} P_d), exactly +-1: the
-    eigenvalue of the k-th non-identity Pauli word of the ray on state d.
+    eigenvalue of the k-th non-identity Pauli word of the ray on state d,
+    read off the masks.  With s = sum_i b_i s_i, b_i = (s >> i) & 1,
+    reordering the product of the g_i^{b_i} gives
+    Sigma_s = i^{e_s} prod_i (g_i / lambda_i)^{b_i}, so its eigenvalue on
+    state d is i^{e_s} (-1)^{sum_i b_i bit_i(d)}, where
+    e_s = |x_s & z_s| + 2 phi_s + sum_i b_i (|x_i & z_i| mod 2) is 0 or 2
+    mod 4 and phi_s = sum_{i<j} b_i b_j |z_i & x_j|.
     """
 
     def __init__(self, space: PhaseSpace, striation: Striation,
                  table: TranslationTable) -> None:
         fld = space.field
         self.striation_id = striation.striation_id
+        self.table = table
         a, b = striation.a, striation.b
         self.ray = np.array([
             space.point_index(Point(fld.mul(s, a), fld.mul(s, b)))
             for s in fld.elements()
         ])
-        self.ops = tuple(table.matrices[i] for i in self.ray)
-        gens = self.ray[list(fld.basis)]
-        if table.anticommutes(gens[:, None], gens[None, :]).any():
+        self.gens = gens = self.ray[list(fld.basis)]
+        points = np.arange(len(table.x))[:, None]
+        self.flips = table.anticommutes(points, gens) @ (1 << np.arange(fld.m)[::-1])
+        if self.flips[gens].any():
             raise NonCommutingError(
                 f"striation {self.striation_id} translations do not "
                 "commute; field basis duality is misconfigured"
             )
-        points = np.arange(len(table.matrices))
-        flips = np.zeros(len(points), dtype=np.int64)
-        eye = np.eye(fld.order, dtype=complex)
+        x, z, gx, gz = table.x[self.ray], table.z[self.ray], table.x[gens], table.z[gens]
+        bits = (np.arange(fld.order)[:, None] >> np.arange(fld.m)) & 1  # b_i(s)
+        upper = np.triu(_ODD[gz[:, None] & gx[None, :]], 1)
+        phi = np.einsum("si,ij,sj->s", bits, upper, bits)
+        e = _WEIGHT[x & z] + 2 * phi + bits @ _ODD[gx & gz]
+        # bits[d, ::-1][i] is bit_i(d), counted from the most significant
+        parity = (bits[:, ::-1] @ bits[1:].T) & 1
+        self.signs = (1 - (e[1:] & 2)) * (1 - 2 * parity)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        table = self.table
+        eye = np.eye(len(self.ray), dtype=complex)
         states = [eye]
-        for g in gens:
-            flips = (flips << 1) | table.anticommutes(points, g)
+        for g in self.gens:
             # g^2 = (-1)^{|x & z|} I, and 1/i = -i
             h = table.matrices[g] * (-1j if _ODD[table.x[g] & table.z[g]] else 1)
             halves = ((eye + h) / 2, (eye - h) / 2)
             states = [s @ half for s in states for half in halves]
-        self.flips = flips
-        self.states = np.array(states)
-        words = pauli_words(fld.m)[table.pauli[self.ray[1:]]]
-        traces = np.einsum("dab,kba->dk", self.states, words, optimize=True)
-        self.signs = np.where(traces.real > 0, 1, -1)
-        if not np.array_equal(traces, self.signs):
-            raise NetConstructionError(
-                f"striation {self.striation_id}: ray word traces are not all +-1"
-            )
+        return np.array(states)
 
 
 def build_eigensystems(space: PhaseSpace, table: TranslationTable) -> tuple:

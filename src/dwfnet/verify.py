@@ -22,7 +22,7 @@ from .nets import (
     id_of,
     net_context,
 )
-from .phasespace import PhaseSpace, Point
+from .phasespace import PhaseSpace
 from .reduction import KeepSet, shortcut_reduce, reduce_dwf, reduction_map
 from .stokes import (
     conjugate_dwf,
@@ -32,7 +32,7 @@ from .stokes import (
     spinflip_matrix,
     stokes_from_rho,
 )
-from .translations import TranslationTable, build_eigensystems, pauli_words
+from .translations import pauli_words
 from .wigner import (
     DensityState,
     dwf_from_rho,
@@ -150,20 +150,32 @@ def suite_phase_geometry(n: int) -> SuiteResult:
     return r
 
 
+def dense_ray_signs(es, table) -> np.ndarray:
+    """Tr(Sigma P_d) of each non-identity ray word on each dense state of
+    the eigensystem: the oracle of the mask-derived `es.signs`."""
+    words = pauli_words(table.space.field.m)[table.pauli[es.ray[1:]]]
+    return np.einsum("dab,kba->dk", es.states, words, optimize=True)
+
+
 def suite_translations(n: int) -> SuiteResult:
     r = SuiteResult("translations", n)
     ctx = net_context(n)
     space, table = ctx.space, ctx.table
     nn = ctx.order
     for es in ctx.eigensystems:
-        for i, u in enumerate(es.ops):
-            for v in es.ops[i + 1 :]:
+        r.expect(
+            np.array_equal(dense_ray_signs(es, table), es.signs),
+            f"striation {es.striation_id} ray word signs differ from the states",
+        )
+        ops = table.matrices[es.ray]
+        for i, u in enumerate(ops):
+            for v in ops[i + 1 :]:
                 r.expect(
                     np.max(np.abs(u @ v - v @ u)) < 1e-10,
                     f"striation {es.striation_id} ops do not commute",
                 )
         for state in es.states:
-            for u in es.ops:
+            for u in ops:
                 r.expect(
                     np.max(np.abs(u @ state @ u.conj().T - state)) < 1e-10,
                     f"striation {es.striation_id} state not invariant",

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NetMismatchError, ValidationError
-from .nets import QuantumNet, _signs_by_id, net_context
+from .nets import QuantumNet, _signs_by_id, check_net_id, net_context
 from .phasespace import Line
 from .translations import operator_from_grid, pauli_grid, xz_tables
 
@@ -83,19 +83,12 @@ class WignerFunction:
             raise ValidationError('field "w" has a non-finite entry')
         if abs(total - 1.0) > 1e-8:
             raise ValidationError(f"Wigner function sums to {float(total)}, not 1")
+        check_net_id(self.net_id, 2**self.n)
         object.__setattr__(self, "w", w)
 
     @property
     def order(self) -> int:
         return 2**self.n
-
-
-def _check_net(obj, net: QuantumNet):
-    if obj.n != net.n_qubits or obj.net_id != net.net_id:
-        raise NetMismatchError(
-            f"Wigner function (n={obj.n}, net {obj.net_id}) does not match "
-            f"net {net.net_id} (n={net.n_qubits})"
-        )
 
 
 @lru_cache(maxsize=8)
@@ -150,7 +143,11 @@ def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
 
 def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
     """rho = sum_alpha w_alpha A_alpha; inverse of dwf_from_rho."""
-    _check_net(w, net)
+    if w.n != net.n_qubits or w.net_id != net.net_id:
+        raise NetMismatchError(
+            f"Wigner function (n={w.n}, net {w.net_id}) does not match "
+            f"net {net.net_id} (n={net.n_qubits})"
+        )
     s = _to_stokes(w.w, w.n) * _signs_by_id(w.n, w.net_id)
     return DensityState(w.n, operator_from_grid(s, w.n))
 

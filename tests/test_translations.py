@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dwfnet import GF2m, PhaseSpace, Point, net_context
-from dwfnet.errors import NetConstructionError, NonCommutingError
+from dwfnet.errors import NonCommutingError
+from dwfnet.nets import NetContext
 from dwfnet.translations import (
     TranslationTable,
     build_eigensystems,
@@ -11,6 +12,7 @@ from dwfnet.translations import (
     pauli_words,
     xz_tables,
 )
+from dwfnet.verify import dense_ray_signs
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -86,7 +88,7 @@ def test_pauli_transform_matches_word_oracle():
 
 def test_signs_are_ray_word_eigenvalues():
     # P_d Sigma = signs[d, k] P_d for the k-th non-identity ray word
-    for m in [1, 2, 3]:
+    for m in [1, 2, 3, 4, 5]:
         ctx = net_context(m)
         for es in ctx.eigensystems:
             assert es.signs.shape == (ctx.order, ctx.order - 1)
@@ -205,7 +207,7 @@ def test_states_resolve_identity():
                 assert np.array_equal(p, dagger(p))
                 assert np.array_equal(p @ p, p)
                 assert np.trace(p) == 1.0
-                for u in es.ops:
+                for u in ctx.table.matrices[es.ray]:
                     assert np.array_equal(u @ p, p @ u)
 
 
@@ -218,7 +220,7 @@ def test_states_follow_documented_eigen_order():
         for es in ctx.eigensystems:
             keys = []
             for p in es.states:
-                lams = [np.trace(es.ops[g] @ p) for g in gens]
+                lams = [np.trace(ctx.table.matrices[es.ray[g]] @ p) for g in gens]
                 assert np.allclose(np.abs(lams), 1.0)
                 turns = [np.angle(lam) / (np.pi / 2) for lam in lams]
                 assert np.allclose(turns, np.round(turns))
@@ -244,13 +246,27 @@ def test_misconfigured_duality_raises():
         build_eigensystems(ps, TranslationTable(ps))
 
 
-def test_misassigned_ray_words_raise():
-    # ray words whose traces on the states are not +-1 stop the build
+def test_dense_oracle_catches_misassigned_ray_words():
+    # the dense ray-word traces agree with the mask-derived signs, and stop
+    # agreeing once the words are assigned to the wrong points
     ps = PhaseSpace(GF2m(2))
     table = TranslationTable(ps)
+    systems = build_eigensystems(ps, table)
+    for es in systems:
+        assert np.array_equal(dense_ray_signs(es, table), es.signs)
     table.pauli = table.pauli[::-1]
-    with pytest.raises(NetConstructionError):
-        build_eigensystems(ps, table)
+    for es in systems:
+        assert not np.array_equal(dense_ray_signs(es, table), es.signs)
+
+
+def test_net_context_builds_no_dense_array():
+    # signs and flips come from the X/Z masks; states and matrices wait
+    # for the first reader
+    for m in [3, 4, 5]:
+        ctx = NetContext(m)
+        assert "matrices" not in vars(ctx.table)
+        for es in ctx.eigensystems:
+            assert "states" not in vars(es)
 
 
 def test_composition_phase():

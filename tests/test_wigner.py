@@ -46,6 +46,11 @@ def test_wigner_function_validation():
         WignerFunction(1, 0, np.array([0.5, 0.5, 0.5, 0.5]))  # sum != 1
     with pytest.raises(ValidationError):
         WignerFunction(1, 0, np.array([1.0, 0.0]))  # wrong length
+    # net ids run over [0, N^(N+1)): 1024 two-qubit nets
+    for net_id in (1024, -1):
+        with pytest.raises(ValidationError, match=r"out of range \[0, 1024\)"):
+            WignerFunction(2, net_id, np.full(16, 1 / 16))
+    assert WignerFunction(2, 1023, np.full(16, 1 / 16)).net_id == 1023
 
 
 def test_validation_messages_print_plain_floats():
