@@ -20,27 +20,23 @@ print("polynomial basis:", [names[e] for e in fld.basis])
 print("trace-dual basis:", [names[e] for e in fld.dual_basis])
 
 # --- the 4 x 4 phase space ---------------------------------------------
+# points are indices alpha = q * 4 + p; translating by beta is alpha ^ beta
 ps = PhaseSpace(fld)
-print(f"\n{ps.order} x {ps.order} phase space: {len(ps.striations)} striations")
-for st in ps.striations:
-    print(f"  striation {st.striation_id}: ray direction ({names[st.a]}, {names[st.b]})")
+print(f"\n{ps.order} x {ps.order} phase space: {len(ps.directions)} striations")
+for sid, (a, b) in enumerate(ps.directions):
+    print(f"  striation {sid}: ray direction ({names[a]}, {names[b]})")
 
-# every striation partitions the grid into parallel lines
-st = ps.striations[2]
-print(f"\nlines of striation {st.striation_id} as offset grids (value = line index):")
-grid = np.zeros((4, 4), dtype=int)
-for c, line in enumerate(st.lines):
-    for pt in line.points:
-        grid[pt.q, pt.p] = c
-print(grid)
+# every striation partitions the grid into parallel lines: offsets[s, alpha]
+# is the index of striation s's line through alpha
+sid = 2
+print(f"\nlines of striation {sid} as offset grids (value = line index):")
+print(ps.offsets[sid].reshape(4, 4))
 
-# any two lines from different striations intersect in exactly one point
+# any two lines from different striations intersect in exactly one point:
+# each pair of line indices (c_a, c_b) occurs at exactly one alpha
 counts = set()
-for sa in ps.striations:
-    for sb in ps.striations:
-        if sa.striation_id >= sb.striation_id:
-            continue
-        for la in sa.lines:
-            for lb in sb.lines:
-                counts.add(len(set(la.points) & set(lb.points)))
+for sa in range(len(ps.directions)):
+    for sb in range(sa + 1, len(ps.directions)):
+        pairs = ps.offsets[sa] * ps.order + ps.offsets[sb]
+        counts.update(np.bincount(pairs, minlength=ps.order**2).tolist())
 print("\npairwise intersection sizes across striations:", counts)

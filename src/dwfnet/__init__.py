@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .ffield import GF2m
-from .phasespace import Line, PhaseSpace, Point, Striation
+from .phasespace import PhaseSpace
 from .nets import (
     NetContext,
     ProductReport,
@@ -68,9 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GF2m",
     "PhaseSpace",
-    "Point",
-    "Line",
-    "Striation",
     "NetContext",
     "QuantumNet",
     "ProductReport",

@@ -61,11 +61,21 @@ def _require_n(doc: dict) -> int:
     return n
 
 
+def _floats(value, key: str) -> np.ndarray:
+    """np.array(value, dtype=float), rejecting integers beyond the float range."""
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as exc:
+        raise ValidationError(f'field "{key}" has an entry too large for a float') from exc
+
+
 def parse_document(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
+        raise ValidationError(f"unreadable JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("top-level JSON value must be an object")
     return doc
@@ -80,7 +90,6 @@ def parse_state(text: str) -> DensityState:
         not isinstance(row, list) or len(row) != dim for row in rows
     ):
         raise ValidationError(f'field "rho" must be a {dim}x{dim} matrix for n={n}')
-    rho = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             if (
@@ -94,8 +103,8 @@ def parse_state(text: str) -> DensityState:
                 raise ValidationError(
                     f'field "rho"[{i}][{j}] must be a [re, im] pair'
                 )
-            rho[i, j] = complex(cell[0], cell[1])
-    return DensityState(n, rho)
+    # each [re, im] pair is one complex128 in memory
+    return DensityState(n, _floats(rows, "rho").view(complex)[..., 0])
 
 
 def state_to_doc(state: DensityState) -> dict:
@@ -112,7 +121,7 @@ def parse_dwf(text: str) -> WignerFunction:
     w = _require(doc, "w", list)
     if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in w):
         raise ValidationError('field "w" must be an array of numbers')
-    return WignerFunction(n, net, np.array(w, dtype=float))
+    return WignerFunction(n, net, _floats(w, "w"))
 
 
 def dwf_to_doc(w: WignerFunction) -> dict:

@@ -3,7 +3,7 @@
 A net is identified by N+1 digits, one per striation in canonical order,
 naming which eigenstate of the striation's translation group sits on its
 ray.  Every other line inherits its projector by translating the ray by the
-canonical representative shift, so the whole net is fixed by its digits.
+line's smallest point, so the whole net is fixed by its digits.
 The scalar net id is the mixed-radix value of the digits with striation 0
 most significant.
 
@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .ffield import GF2m
-from .phasespace import PhaseSpace, Point
+from .phasespace import PhaseSpace
 from .translations import CONJ_SIGNS, TranslationTable, build_eigensystems, xz_tables
 
 FULL_ENUMERATION_LIMIT = 4  # N above this needs explicit sampling
@@ -105,7 +105,7 @@ class NetContext:
         self.space = PhaseSpace(self.field)
         self.table = TranslationTable(self.space)
         self.eigensystems = build_eigensystems(self.space, self.table)
-        rays = np.array([es.ray[1:] for es in self.eigensystems])
+        rays = self.space.rays[:, 1:]
         self.ray_cells = self.table.x[rays] * self.order + self.table.z[rays]
         self.ray_signs = np.array([es.signs for es in self.eigensystems])
         t = xz_tables(m)
@@ -179,16 +179,14 @@ class QuantumNet:
         self.digits = digits_of(net_id, ctx.order)
 
     @cached_property
-    def projectors(self) -> dict:
-        """(striation_id, c) -> rank-one projector of that line."""
-        space = self.ctx.space
-        projectors = {}
-        for es, st, digit in zip(self.ctx.eigensystems, space.striations, self.digits):
-            for c in range(self.order):
-                shift = space.representative_shift(st.striation_id, c)
-                flip = es.flips[space.point_index(shift)]
-                projectors[(st.striation_id, c)] = es.states[digit ^ flip]
-        return projectors
+    def projectors(self) -> np.ndarray:
+        """(N+1, N, N, N) array: [s, c] is the rank-one projector of line c
+        of striation s, the ray's state moved by the line's smallest point."""
+        shifts = self.ctx.space.lines[:, :, 0]
+        return np.array([
+            es.states[digit ^ es.flips[shift]]
+            for es, digit, shift in zip(self.ctx.eigensystems, self.digits, shifts)
+        ])
 
     @cached_property
     def ops_array(self) -> np.ndarray:
@@ -209,12 +207,6 @@ class QuantumNet:
     @property
     def n_qubits(self) -> int:
         return self.ctx.n_qubits
-
-    def projector(self, line) -> np.ndarray:
-        return self.projectors[(line.striation_id, line.c)]
-
-    def point_op(self, pt: Point) -> np.ndarray:
-        return self.point_ops[self.ctx.space.point_index(pt)]
 
 
 @dataclass(frozen=True)

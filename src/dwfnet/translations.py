@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NonCommutingError
-from .phasespace import PhaseSpace, Point, Striation
+from .phasespace import PhaseSpace
 
 _SIGMA = (
     np.eye(2, dtype=complex),
@@ -162,9 +162,6 @@ class TranslationTable:
         phases = _MINUS_I_POWERS[_WEIGHT[self.x & self.z] % 4]
         return pauli_words(self.space.field.m)[self.pauli] * phases[:, None, None]
 
-    def __getitem__(self, pt: Point) -> np.ndarray:
-        return self.matrices[self.space.point_index(pt)]
-
     def anticommutes(self, alpha, beta):
         """1 where T_alpha and T_beta anticommute, 0 where they commute.
 
@@ -177,10 +174,10 @@ class TranslationTable:
 class StriationEigensystem:
     """The commuting translation group of one striation and its eigenbasis.
 
-    `ray[s]` is the point index of s(a,b) for the field element s.  The
-    group is generated by g_i = T_{s_i(a,b)} = X^{x_i} Z^{z_i} (point index
-    `gens[i]`) with s_i the i-th polynomial basis element, and `states[d]` is
-    the exact stabilizer projector
+    `ray[s]` = `space.rays[striation_id, s]` is the point index of s(a,b)
+    for the field element s.  The group is generated by g_i = T_{s_i(a,b)}
+    = X^{x_i} Z^{z_i} (point index `gens[i]`) with s_i the i-th polynomial
+    basis element, and `states[d]` is the exact stabilizer projector
 
         prod_i (I + (-1)^{bit_i(d)} g_i / lambda_i) / 2,
 
@@ -204,16 +201,12 @@ class StriationEigensystem:
     mod 4 and phi_s = sum_{i<j} b_i b_j |z_i & x_j|.
     """
 
-    def __init__(self, space: PhaseSpace, striation: Striation,
+    def __init__(self, space: PhaseSpace, striation_id: int,
                  table: TranslationTable) -> None:
         fld = space.field
-        self.striation_id = striation.striation_id
+        self.striation_id = striation_id
         self.table = table
-        a, b = striation.a, striation.b
-        self.ray = np.array([
-            space.point_index(Point(fld.mul(s, a), fld.mul(s, b)))
-            for s in fld.elements()
-        ])
+        self.ray = space.rays[striation_id]
         self.gens = gens = self.ray[list(fld.basis)]
         points = np.arange(len(table.x))[:, None]
         self.flips = table.anticommutes(points, gens) @ (1 << np.arange(fld.m)[::-1])
@@ -247,5 +240,5 @@ class StriationEigensystem:
 def build_eigensystems(space: PhaseSpace, table: TranslationTable) -> tuple:
     """One eigensystem per striation, in canonical striation order."""
     return tuple(
-        StriationEigensystem(space, st, table) for st in space.striations
+        StriationEigensystem(space, s, table) for s in range(space.order + 1)
     )

@@ -57,9 +57,11 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def expect(self, condition: bool, message: str) -> None:
-        self.checks += 1
-        if not condition:
+    def expect(self, condition, message: str) -> None:
+        """Count each entry of a bool or boolean array as one check."""
+        condition = np.asarray(condition)
+        self.checks += condition.size
+        if not condition.all():
             self.failures.append(message)
 
     def line(self) -> str:
@@ -118,35 +120,34 @@ def suite_phase_geometry(n: int) -> SuiteResult:
     r = SuiteResult("phase-geometry", n)
     space = PhaseSpace(GF2m(n))
     nn = space.order
-    all_lines = [ln for st in space.striations for ln in st.lines]
-    r.expect(len(space.striations) == nn + 1, "striation count != N+1")
-    r.expect(len(all_lines) == nn * (nn + 1), "line count != N(N+1)")
-    for i, la in enumerate(all_lines):
-        for lb in all_lines[i + 1 :]:
-            common = set(la.points) & set(lb.points)
-            if la.striation_id == lb.striation_id:
-                r.expect(not common, "parallel lines intersect")
-            else:
-                r.expect(len(common) == 1, "cross-striation lines miss unique point")
-    for pt in space.points:
-        through = space.lines_through(pt)
-        r.expect(len(through) == nn + 1, f"point {pt} not on N+1 lines")
+    r.expect(len(space.lines) == nn + 1, "striation count != N+1")
+    r.expect(space.lines.shape == (nn + 1, nn, nn), "line count != N(N+1)")
+    # incidence[s * N + c, alpha] is True where alpha lies on line c of
+    # striation s; the float product counts each pair's common points exactly
+    incidence = (space.offsets[:, None] == np.arange(nn)[:, None]).reshape(-1, nn * nn)
+    common = incidence @ incidence.T.astype(float)
+    i, j = np.triu_indices(len(common), 1)
+    parallel = i // nn == j // nn
+    r.expect(common[i[parallel], j[parallel]] == 0, "parallel lines intersect")
+    r.expect(
+        common[i[~parallel], j[~parallel]] == 1,
+        "cross-striation lines miss unique point",
+    )
+    for alpha in range(nn * nn):
+        through = space.lines_through(alpha)
+        r.expect(len(through) == nn + 1, f"point {alpha} not on N+1 lines")
         r.expect(
-            all(pt in ln.points for ln in through), f"lines_through wrong at {pt}"
+            (through == alpha).any(axis=1).all(), f"lines_through wrong at {alpha}"
         )
-    for st in space.striations:
-        for ln in st.lines:
-            for beta in space.points:
-                shifted = sorted(
-                    space.point_index(space.translate_point(p, beta))
-                    for p in ln.points
-                )
-                match = any(
-                    shifted
-                    == sorted(space.point_index(p) for p in other.points)
-                    for other in st.lines
-                )
-                r.expect(match, "translated line leaves its striation")
+    points = np.arange(nn * nn)
+    for lines, offsets in zip(space.lines, space.offsets):
+        # shifted[c, beta] is line c translated by beta, sorted; compare it
+        # with the striation's line through its first point
+        shifted = np.sort(lines[:, None, :] ^ points[None, :, None], axis=-1)
+        r.expect(
+            (shifted == lines[offsets[shifted[..., 0]]]).all(axis=-1),
+            "translated line leaves its striation",
+        )
     return r
 
 
@@ -160,7 +161,7 @@ def dense_ray_signs(es, table) -> np.ndarray:
 def suite_translations(n: int) -> SuiteResult:
     r = SuiteResult("translations", n)
     ctx = net_context(n)
-    space, table = ctx.space, ctx.table
+    table = ctx.table
     nn = ctx.order
     for es in ctx.eigensystems:
         r.expect(
@@ -168,35 +169,29 @@ def suite_translations(n: int) -> SuiteResult:
             f"striation {es.striation_id} ray word signs differ from the states",
         )
         ops = table.matrices[es.ray]
-        for i, u in enumerate(ops):
-            for v in ops[i + 1 :]:
-                r.expect(
-                    np.max(np.abs(u @ v - v @ u)) < 1e-10,
-                    f"striation {es.striation_id} ops do not commute",
-                )
-        for state in es.states:
-            for u in ops:
-                r.expect(
-                    np.max(np.abs(u @ state @ u.conj().T - state)) < 1e-10,
-                    f"striation {es.striation_id} state not invariant",
-                )
+        u, v = (ops[k] for k in np.triu_indices(nn, 1))  # every pair once
+        r.expect(
+            np.abs(u @ v - v @ u).max(axis=(1, 2)) < 1e-10,
+            f"striation {es.striation_id} ops do not commute",
+        )
+        moved = ops @ es.states[:, None] @ ops.conj().transpose(0, 2, 1)  # [state, op]
+        r.expect(
+            np.abs(moved - es.states[:, None]).max(axis=(2, 3)) < 1e-10,
+            f"striation {es.striation_id} state not invariant",
+        )
     for i, ea in enumerate(ctx.eigensystems):
         for eb in ctx.eigensystems[i + 1 :]:
-            for sa in ea.states:
-                for sb in eb.states:
-                    r.expect(
-                        abs(np.trace(sa @ sb).real - 1.0 / nn) < 1e-10,
-                        "bases not mutually unbiased",
-                    )
-    for p1 in space.points:
-        for p2 in space.points:
-            prod = table[p1] @ table[p2]
-            target = table[space.translate_point(p1, p2)]
-            r.expect(
-                np.max(np.abs(prod - target)) < 1e-12
-                or np.max(np.abs(prod + target)) < 1e-12,
-                "translations do not compose up to sign",
-            )
+            overlaps = np.einsum("aij,bji->ab", ea.states, eb.states).real
+            r.expect(np.abs(overlaps - 1.0 / nn) < 1e-10, "bases not mutually unbiased")
+    points = np.arange(nn * nn)
+    for p1, t in enumerate(table.matrices):
+        prod = t @ table.matrices
+        target = table.matrices[p1 ^ points]
+        r.expect(
+            (np.abs(prod - target).max(axis=(1, 2)) < 1e-12)
+            | (np.abs(prod + target).max(axis=(1, 2)) < 1e-12),
+            "translations do not compose up to sign",
+        )
     return r
 
 
@@ -224,31 +219,28 @@ def suite_net_structure(n: int) -> SuiteResult:
     ids = _net_ids(ctx, sample_large=10)
     if nn == 4:
         ids = ids[::37] + [1023]  # covariance is O(N^4) per net; sample
+    striations = np.arange(nn + 1)[:, None]
+    first = space.lines[:, :, 0]
     for net_id in ids:
         net = build_net(ctx, net_id)
-        for st in space.striations:
-            for ln in st.lines:
-                q = net.projector(ln)
-                r.expect(
-                    abs(np.trace(q).real - 1.0) < 1e-10
-                    and np.max(np.abs(q @ q - q)) < 1e-9,
-                    f"net {net_id} line projector not a rank-one projector",
-                )
-                sigma = sum(net.point_op(pt) for pt in ln.points)
-                r.expect(
-                    np.max(np.abs(sigma - nn * q)) < 1e-9,
-                    f"net {net_id} violates line-sum identity",
-                )
-                for beta in space.points:
-                    c2 = space.line_offset(
-                        st.striation_id, space.translate_point(ln.points[0], beta)
-                    )
-                    lhs = net.projectors[(st.striation_id, c2)]
-                    t = table[beta]
-                    r.expect(
-                        np.max(np.abs(lhs - t @ q @ t.conj().T)) < 1e-9,
-                        f"net {net_id} violates translational covariance",
-                    )
+        q = net.projectors  # [s, c]: the projector of line c of striation s
+        r.expect(
+            (np.abs(np.trace(q, axis1=2, axis2=3).real - 1.0) < 1e-10)
+            & (np.abs(q @ q - q).max(axis=(2, 3)) < 1e-9),
+            f"net {net_id} line projector not a rank-one projector",
+        )
+        sigma = np.array([net.ops_array[lines].sum(axis=1) for lines in space.lines])
+        r.expect(
+            np.abs(sigma - nn * q).max(axis=(2, 3)) < 1e-9,
+            f"net {net_id} violates line-sum identity",
+        )
+        for beta, t in enumerate(table.matrices):
+            # T_beta moves line c onto the line through its first point + beta
+            lhs = q[striations, space.offsets[striations, first ^ beta]]
+            r.expect(
+                np.abs(lhs - t @ q @ t.conj().T).max(axis=(2, 3)) < 1e-9,
+                f"net {net_id} violates translational covariance",
+            )
         total = net.ops_array.sum(axis=0)
         r.expect(
             np.max(np.abs(total - nn * np.eye(nn))) < 1e-9,
@@ -315,17 +307,15 @@ def suite_wigner_roundtrip(n: int) -> SuiteResult:
                 abs(purity_from_dwf(w) - true_purity) < 1e-10,
                 "purity identity fails",
             )
-            for striation in ctx.space.striations:
-                probs = [line_probability(w, ln) for ln in striation.lines]
-                r.expect(
-                    abs(sum(probs) - 1.0) < 1e-10,
-                    "striation probabilities do not sum to 1",
-                )
-                for ln, prob in zip(striation.lines, probs):
-                    direct = float(np.trace(net.projector(ln) @ st.rho).real)
-                    r.expect(
-                        abs(prob - direct) < 1e-10, "line probability mismatch"
-                    )
+            probs = np.array(
+                [[line_probability(w, ln) for ln in lines] for lines in ctx.space.lines]
+            )
+            r.expect(
+                np.abs(probs.sum(axis=1) - 1.0) < 1e-10,
+                "striation probabilities do not sum to 1",
+            )
+            direct = np.einsum("scab,ba->sc", net.projectors, st.rho).real
+            r.expect(np.abs(probs - direct) < 1e-10, "line probability mismatch")
     net = build_net(ctx, net_ids[0])
     a, b = states[0], states[1]
     for lam in (0.25, 0.5, 0.9):

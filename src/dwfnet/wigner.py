@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import NetMismatchError, ValidationError
 from .nets import QuantumNet, _signs_by_id, check_net_id, net_context
-from .phasespace import Line
 from .translations import operator_from_grid, pauli_grid, xz_tables
 
 HERM_TOL = 1e-10
@@ -152,10 +151,10 @@ def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
     return DensityState(w.n, operator_from_grid(s, w.n))
 
 
-def line_probability(w: WignerFunction, line: Line) -> float:
-    """Sum of Wigner values along the line = Tr(Q(line) rho)."""
-    n_order = w.order
-    return float(sum(w.w[pt.index(n_order)] for pt in line.points))
+def line_probability(w: WignerFunction, line: np.ndarray) -> float:
+    """Sum of Wigner values along the line, given as its point indices
+    (a row of `PhaseSpace.lines`), = Tr(Q(line) rho)."""
+    return float(w.w[line].sum())
 
 
 def purity_from_dwf(w: WignerFunction) -> float:

@@ -286,3 +286,19 @@ def test_boolean_as_number_exits_2(capsys, monkeypatch, argv, doc):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc, field",
+    [
+        (["compute", "--net", "0"],
+         '{"n": 1, "rho": [[[1' + "0" * 400 + ', 0], [0, 0]], [[0, 0], [0, 0]]]}', '"rho"'),
+        (["to-rho"], '{"n": 1, "net": 0, "w": [1' + "0" * 400 + ", 0, 0, 0]}", '"w"'),
+    ],
+    ids=["compute", "to-rho"],
+)
+def test_oversized_integer_exits_2(capsys, monkeypatch, argv, doc, field):
+    code, out, err = run(capsys, argv, doc, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert field in err and "too large" in err

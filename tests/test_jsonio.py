@@ -65,3 +65,26 @@ def test_parse_dwf_errors():
 def test_dumps_deterministic():
     doc = {"n": 1, "w": [1 / 7, 2 / 7], "nested": {"a": [1, 2.0]}}
     assert jsonio.dumps(doc) == jsonio.dumps(doc)
+
+
+BIG = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+def test_parse_state_rejects_oversized_integer():
+    doc = '{"n": 1, "rho": [[[1, 0], [0, 0]], [[0, ' + BIG + "], [0, 0]]]}"
+    with pytest.raises(ValidationError, match='"rho".*too large'):
+        jsonio.parse_state(doc)
+
+
+def test_parse_dwf_rejects_oversized_integer():
+    doc = '{"n": 1, "net": 0, "w": [' + BIG + ", 0, 0, 0]}"
+    with pytest.raises(ValidationError, match='"w".*too large'):
+        jsonio.parse_dwf(doc)
+
+
+def test_parse_document_rejects_unreadable_json():
+    # beyond Python's integer digit limit, and nested past the recursion limit
+    with pytest.raises(ValidationError, match="unreadable JSON"):
+        jsonio.parse_document('{"n": ' + "1" * 5000 + "}")
+    with pytest.raises(ValidationError, match="unreadable JSON"):
+        jsonio.parse_document("[" * 100000)

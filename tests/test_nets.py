@@ -32,7 +32,6 @@ from dwfnet import (
 )
 from dwfnet import nets
 from dwfnet.errors import UnsupportedDimensionError, ValidationError
-from dwfnet.phasespace import Point
 from dwfnet.reduction import _reduction_map_cached
 from dwfnet.translations import xz_tables
 from dwfnet.verify import dense_hadamard
@@ -86,7 +85,7 @@ def test_single_qubit_phase_point_operator():
     # A(0,0) = (I + X + Y + Z) / 2
     ctx = net_context(1)
     net = build_net(ctx, 1)
-    a = net.point_ops[Point(0, 0).index(2)]
+    a = net.point_ops[0]  # the origin (0, 0)
     assert np.allclose(a, 0.5 * (I2 + X + Y + Z))
 
 
@@ -117,10 +116,11 @@ def test_line_sum_recovers_projectors():
     ctx = net_context(1)
     for net_id in range(8):
         net = build_net(ctx, net_id)
-        for (sid, c), proj in net.projectors.items():
-            line = ctx.space.striations[sid].lines[c]
-            s = sum(net.point_ops[pt.index(2)] for pt in line.points) / 2.0
-            assert np.allclose(s, proj)
+        assert net.projectors.shape == (3, 2, 2, 2)  # [striation, c]
+        for sid, c in np.ndindex(3, 2):
+            line = ctx.space.lines[sid, c]
+            s = sum(net.point_ops[alpha] for alpha in line) / 2.0
+            assert np.allclose(s, net.projectors[sid, c])
 
 
 def test_covariance_of_line_assignment():
@@ -128,13 +128,12 @@ def test_covariance_of_line_assignment():
     # representative shift translation
     ctx = net_context(2)
     net = build_net(ctx, 123)
-    for st in ctx.space.striations:
-        ray_state = net.projectors[(st.striation_id, 0)]
+    for sid, lines in enumerate(ctx.space.lines):
+        ray_state = net.projectors[sid, 0]
         for c in range(1, 4):
-            shift = ctx.space.representative_shift(st.striation_id, c)
-            t = ctx.table[shift]
+            t = ctx.table.matrices[lines[c, 0]]  # the line's smallest point
             moved = t @ ray_state @ t.conj().T
-            assert np.allclose(moved, net.projectors[(st.striation_id, c)])
+            assert np.allclose(moved, net.projectors[sid, c])
 
 
 def test_bad_net_id():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dwfnet import GF2m, PhaseSpace, Point, net_context
+from dwfnet import GF2m, PhaseSpace, net_context
 from dwfnet.errors import NonCommutingError
 from dwfnet.nets import NetContext
 from dwfnet.translations import (
@@ -24,29 +24,30 @@ def dagger(a):
 
 
 def test_single_qubit_operators():
-    table = net_context(1).table
-    assert np.array_equal(table[Point(0, 0)], I2)
-    assert np.array_equal(table[Point(1, 0)], X)
-    assert np.array_equal(table[Point(0, 1)], Z)
-    assert np.array_equal(table[Point(1, 1)], X @ Z)
+    # point (q, p) has index q * N + p
+    mats = net_context(1).table.matrices
+    assert np.array_equal(mats[0 * 2 + 0], I2)
+    assert np.array_equal(mats[1 * 2 + 0], X)
+    assert np.array_equal(mats[0 * 2 + 1], Z)
+    assert np.array_equal(mats[1 * 2 + 1], X @ Z)
 
 
 def test_two_qubit_expansion_uses_dual_basis():
     # q expands in the polynomial basis, p in the trace-dual basis;
     # for GF(4): q=1 -> bits (1,0), dual expansion of p=1 -> bits (0,1)
-    table = net_context(2).table
-    assert np.array_equal(table[Point(1, 1)], np.kron(X, Z))
+    mats = net_context(2).table.matrices
+    assert np.array_equal(mats[1 * 4 + 1], np.kron(X, Z))
     # q=w -> (0,1) primal; p=w^2 -> (1,0) dual
-    assert np.array_equal(table[Point(2, 3)], np.kron(Z, X))
+    assert np.array_equal(mats[2 * 4 + 3], np.kron(Z, X))
 
 
 def test_labels_and_stokes_indices():
     # label 2x + z per qubit; Stokes digit [I, sigma_z, sigma_x, sigma_y][label]
     table = net_context(2).table
-    assert table.labels[Point(1, 1).index(4)].tolist() == [2, 1]  # X (x) Z
-    assert table.pauli[Point(1, 1).index(4)] == 1 * 4 + 3
-    assert table.labels[Point(3, 2).index(4)].tolist() == [3, 3]  # XZ (x) XZ
-    assert table.pauli[Point(3, 2).index(4)] == 2 * 4 + 2
+    assert table.labels[1 * 4 + 1].tolist() == [2, 1]  # X (x) Z at (1, 1)
+    assert table.pauli[1 * 4 + 1] == 1 * 4 + 3
+    assert table.labels[3 * 4 + 2].tolist() == [3, 3]  # XZ (x) XZ at (3, 2)
+    assert table.pauli[3 * 4 + 2] == 2 * 4 + 2
     for m in [1, 2, 3]:
         table = net_context(m).table
         n = 2**m
@@ -103,21 +104,20 @@ def test_table_is_unitary_and_traceless():
         ps = PhaseSpace(GF2m(m))
         n = ps.order
         table = TranslationTable(ps)
-        for pt in ps.points:
-            t = table[pt]
+        for alpha, t in enumerate(table.matrices):
             assert np.allclose(t @ dagger(t), np.eye(n))
-            if (pt.q, pt.p) != (0, 0):
+            if alpha != 0:  # the origin
                 assert abs(np.trace(t)) < 1e-12
 
 
 def test_pairwise_orthogonal():
     ps = PhaseSpace(GF2m(2))
     fld = ps.field
-    table = TranslationTable(ps)
-    pts = ps.points
+    mats = TranslationTable(ps).matrices
+    pts = range(len(mats))
     for a in pts:
         for b in pts:
-            overlap = np.trace(dagger(table[a]) @ table[b])
+            overlap = np.trace(dagger(mats[a]) @ mats[b])
             want = fld.order if a == b else 0.0
             assert overlap == pytest.approx(want, abs=1e-12)
 
@@ -127,8 +127,8 @@ def test_striation_group_commutes():
     for m in [1, 2]:
         ps = PhaseSpace(GF2m(m))
         table = TranslationTable(ps)
-        for st in ps.striations:
-            ops = [table[pt] for pt in st.ray.points]
+        for ray in ps.rays:
+            ops = table.matrices[ray]
             for a in ops:
                 for b in ops:
                     assert np.allclose(a @ b, b @ a)
@@ -163,9 +163,8 @@ def test_eigensystems_are_mubs():
 def test_eigenstates_invariant_under_ray_translations():
     ps = PhaseSpace(GF2m(2))
     table = TranslationTable(ps)
-    for st, system in zip(ps.striations, build_eigensystems(ps, table)):
-        for pt in st.ray.points:
-            t = table[pt]
+    for ray, system in zip(ps.rays, build_eigensystems(ps, table)):
+        for t in table.matrices[ray]:
             for p in system.states:
                 assert np.allclose(t @ p @ dagger(t), p)
 
@@ -273,11 +272,11 @@ def test_composition_phase():
     # T_a T_b is T_{a+b} up to a phase of unit modulus
     ps = PhaseSpace(GF2m(2))
     fld = ps.field
-    table = TranslationTable(ps)
-    for a in ps.points:
-        for b in ps.points:
-            prod = table[a] @ table[b]
-            tsum = table[ps.translate_point(a, b)]
+    mats = TranslationTable(ps).matrices
+    for a in range(len(mats)):
+        for b in range(len(mats)):
+            prod = mats[a] @ mats[b]
+            tsum = mats[a ^ b]  # field addition is XOR of point indices
             ratio = np.trace(dagger(tsum) @ prod) / fld.order
             assert abs(abs(ratio) - 1.0) < 1e-12
             assert np.allclose(prod, ratio * tsum)

@@ -154,7 +154,7 @@ def test_line_probability():
     space = ctx.space
 
     def prob(sid, c):
-        return line_probability(w, space.striations[sid].lines[c])
+        return line_probability(w, space.lines[sid, c])
 
     # the (0,1) ray digit of net 1 is 0, so line (0, 0) holds |0>
     assert prob(0, 0) == pytest.approx(1.0)
