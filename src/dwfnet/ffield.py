@@ -16,6 +16,8 @@ One irreducible polynomial is fixed per degree so that every derived object
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import FieldDomainError, UnsupportedDimensionError
 
 _IRREDUCIBLE = {
@@ -37,6 +39,8 @@ class GF2m:
     order : number of elements N = 2^m.
     poly : bit mask of the defining irreducible polynomial.
     basis : the polynomial basis (1, w, w^2, ...) as integers.
+    products : read-only (N, N) table, products[a, b] = a * b.
+    traces : read-only (N,) table, traces[a] = trace(a), always 0 or 1.
     dual_basis : the unique basis dual under the trace form, i.e.
         trace(basis[i] * dual_basis[j]) == (i == j).
     """
@@ -47,10 +51,32 @@ class GF2m:
                 f"unsupported extension degree m={m}; must be in {sorted(_IRREDUCIBLE)}"
             )
         self.m = m
-        self.order = 1 << m
+        self.order = n = 1 << m
         self.poly = _IRREDUCIBLE[m]
         self.basis = tuple(1 << i for i in range(m))
-        self.dual_basis = self._compute_dual_basis()
+        # carry-less product, reduced modulo poly: add a * w^i for every bit
+        # i of b, with a * w^i one shift-and-reduce step from a * w^(i-1)
+        elements = np.arange(n)
+        shifted = elements
+        self.products = np.zeros((n, n), dtype=np.int64)
+        for i in range(m):
+            self.products ^= shifted[:, None] * ((elements >> i) & 1)
+            shifted = (shifted << 1) ^ np.where(shifted & (n >> 1), self.poly, 0)
+        # trace(a) = sum of a^(2^i) for i < m
+        self.traces = np.zeros(n, dtype=np.int64)
+        power = elements
+        for _ in range(m):
+            self.traces ^= power
+            power = self.products[power, power]
+        for table in (self.products, self.traces):
+            table.flags.writeable = False
+        # bit i of pairing[f] is trace(basis[i] * f); dual element j is the
+        # one f that pairs to 1 with basis element j alone
+        pairing = self.traces[self.products[:, list(self.basis)]] @ (1 << np.arange(m))
+        for j in range(m):
+            if np.count_nonzero(pairing == 1 << j) != 1:
+                raise FieldDomainError(f"dual basis element {j} not unique for m={m}")
+        self.dual_basis = tuple(int(np.argmax(pairing == 1 << j)) for j in range(m))
 
     # -- core arithmetic ------------------------------------------------
 
@@ -67,19 +93,13 @@ class GF2m:
     def mul(self, a: int, b: int) -> int:
         """Carry-less polynomial product reduced modulo the defining polynomial."""
         self._check(a, b)
-        p = 0
-        top = 1 << self.m
-        while b:
-            if b & 1:
-                p ^= a
-            a <<= 1
-            if a & top:
-                a ^= self.poly
-            b >>= 1
-        return p
+        return int(self.products[a, b])
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square and multiply; 0**0 == 1 by convention."""
+        self._check(a)
+        if e < 0:
+            raise FieldDomainError(f"negative exponent {e}; use inv")
         r = 1
         while e:
             if e & 1:
@@ -96,44 +116,25 @@ class GF2m:
 
     def trace(self, a: int) -> int:
         """Field trace to GF(2): sum of a^(2^i) for i < m.  Always 0 or 1."""
-        t = 0
-        x = a
-        for _ in range(self.m):
-            t ^= x
-            x = self.mul(x, x)
-        assert t in (0, 1)
-        return t
+        self._check(a)
+        return int(self.traces[a])
 
     # -- basis expansions ------------------------------------------------
 
-    def _compute_dual_basis(self) -> tuple:
-        # Exhaustive search is instant for order <= 32 and needs no linear
-        # algebra over GF(2).
-        dual = []
-        for j in range(self.m):
-            hits = [
-                f
-                for f in range(self.order)
-                if all(
-                    self.trace(self.mul(self.basis[i], f)) == (1 if i == j else 0)
-                    for i in range(self.m)
-                )
-            ]
-            if len(hits) != 1:
-                raise FieldDomainError(
-                    f"dual basis element {j} not unique for m={self.m}"
-                )
-            dual.append(hits[0])
-        return tuple(dual)
-
-    def expand(self, a: int, dual: bool = False) -> tuple:
-        """Coefficients of `a` over the primal (or dual) basis, as 0/1 ints.
+    def expansions(self, dual: bool = False) -> np.ndarray:
+        """(N, m) table of every element's coefficients over the primal (or
+        dual) basis, as 0/1 ints, read off the current bases.
 
         The coefficient of basis vector b_i is trace(a * f_i) where {f_i} is
         the opposite basis; this round-trips exactly with :meth:`compose`.
         """
         against = self.basis if dual else self.dual_basis
-        return tuple(self.trace(self.mul(a, f)) for f in against)
+        return self.traces[self.products[:, list(against)]]
+
+    def expand(self, a: int, dual: bool = False) -> tuple:
+        """Coefficients of `a` over the primal (or dual) basis, as 0/1 ints."""
+        self._check(a)
+        return tuple(self.expansions(dual)[a].tolist())
 
     def compose(self, coeffs, dual: bool = False) -> int:
         """Rebuild the element from its coefficient vector."""

@@ -8,8 +8,8 @@ The scalar net id is the mixed-radix value of the digits with striation 0
 most significant.
 
 Translations only permute a striation's eigenstates, by the integer table
-`StriationEigensystem.flips`, so line projectors, translation orbits and
-product detection are all exact integer bookkeeping.  So is the net's sign
+`Eigensystems.flips`, so line projectors, translation orbits and product
+detection are all exact integer bookkeeping.  So is the net's sign
 vector c_j = Tr(Sigma_j A_0), read off the striation sign tables and kept
 in the (x, z) mask layout of `translations.xz_tables`; every transform and
 map reads c alone.  The net's +-1 Hadamard matrix
@@ -24,6 +24,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
+from numbers import Integral
 
 import numpy as np
 
@@ -95,8 +96,8 @@ class NetContext:
 
     `ray_cells[s, k]` is the flat [x, z] cell (see `translations.xz_tables`)
     of the k-th non-identity word on striation s's ray, and
-    `ray_signs[s, d, k]` its sign on state d of that striation.  The
-    commutation signs K[j, q N + p] of word j and the translation of point
+    `eigensystems.signs[s, d, k]` its sign on state d of that striation.
+    The commutation signs K[j, q N + p] of word j and the translation of point
     q N + p factor as `k_z[j, q] * k_x[j, p]` = WH[z_j, x_q] WH[x_j, z_p].
     """
 
@@ -107,7 +108,6 @@ class NetContext:
         self.eigensystems = build_eigensystems(self.space, self.table)
         rays = self.space.rays[:, 1:]
         self.ray_cells = self.table.x[rays] * self.order + self.table.z[rays]
-        self.ray_signs = np.array([es.signs for es in self.eigensystems])
         t = xz_tables(m)
         xs, zs = np.divmod(t.cells, self.order)  # masks of Stokes word j
         # point q * N + p has x = table.x[q * N] and z = table.z[p]
@@ -137,10 +137,18 @@ def _net_count(order: int) -> int:
     return order ** (order + 1)
 
 
+def _check_index(value, start: int, stop: int, what: str) -> None:
+    """Reject a bool, a non-integral value or one outside [start, stop)
+    with ValidationError; numpy integers pass."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, Integral)):
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    if not start <= value < stop:
+        raise ValidationError(f"{what} {value} out of range [{start}, {stop})")
+
+
 def check_net_id(net_id: int, order: int) -> None:
-    """Reject a net id outside [0, N^(N+1)) with ValidationError."""
-    if not 0 <= net_id < _net_count(order):
-        raise ValidationError(f"net id {net_id} out of range [0, {_net_count(order)})")
+    """Reject a net id that is not an integer in [0, N^(N+1))."""
+    _check_index(net_id, 0, _net_count(order), "net id")
 
 
 def digits_of(net_id: int, order: int) -> tuple:
@@ -154,10 +162,11 @@ def digits_of(net_id: int, order: int) -> tuple:
 
 
 def id_of(digits, order: int) -> int:
-    if len(digits) != order + 1 or any(not 0 <= d < order for d in digits):
+    if len(digits) != order + 1:
         raise ValidationError(f"invalid net digits {digits} for N={order}")
     value = 0
     for d in digits:
+        _check_index(d, 0, order, "net digit")
         value = value * order + d
     return value
 
@@ -182,18 +191,18 @@ class QuantumNet:
     def projectors(self) -> np.ndarray:
         """(N+1, N, N, N) array: [s, c] is the rank-one projector of line c
         of striation s, the ray's state moved by the line's smallest point."""
+        es = self.ctx.eigensystems
+        s = np.arange(self.order + 1)[:, None]
         shifts = self.ctx.space.lines[:, :, 0]
-        return np.array([
-            es.states[digit ^ es.flips[shift]]
-            for es, digit, shift in zip(self.ctx.eigensystems, self.digits, shifts)
-        ])
+        return es.states[s, np.array(self.digits)[:, None] ^ es.flips[s, shifts]]
 
     @cached_property
     def ops_array(self) -> np.ndarray:
         n = self.order
         ops = np.repeat(-np.eye(n, dtype=complex)[None], n * n, axis=0)
-        for es, digit in zip(self.ctx.eigensystems, self.digits):
-            ops += es.states[digit ^ es.flips]
+        es = self.ctx.eigensystems
+        for s, digit in enumerate(self.digits):
+            ops += es.states[s, digit ^ es.flips[s]]
         return ops
 
     @cached_property
@@ -233,7 +242,7 @@ def _signs_by_id(n: int, net_id: int) -> np.ndarray:
     ctx = net_context(n)
     striations = np.arange(ctx.order + 1)
     c = np.ones(ctx.order**2)
-    c[ctx.ray_cells] = ctx.ray_signs[striations, digits_of(net_id, ctx.order)]
+    c[ctx.ray_cells] = ctx.eigensystems.signs[striations, digits_of(net_id, ctx.order)]
     c = c.reshape(ctx.order, ctx.order)
     c.flags.writeable = False  # shared by every caller through the cache
     return c
@@ -277,8 +286,7 @@ def enumerate_nets(ctx: NetContext, sample: int | None = None):
                 "pass an explicit sample count"
             )
         return range(total)
-    if not 1 <= sample <= total:
-        raise ValidationError(f"sample count {sample} out of range [1, {total}]")
+    _check_index(sample, 1, total + 1, "sample count")
     stride = total // sample
     return range(0, stride * sample, stride)
 
@@ -292,11 +300,9 @@ def translate_net_id(ctx: NetContext, net_id: int, beta_index: int) -> int:
     with the conjugation is the identity on covariantly built nets, so the
     conjugation action is what produces the size-N^2 orbits.)
     """
-    digits = digits_of(net_id, ctx.order)
-    moved = [
-        d ^ int(es.flips[beta_index]) for es, d in zip(ctx.eigensystems, digits)
-    ]
-    return id_of(moved, ctx.order)
+    _check_index(beta_index, 0, ctx.order**2, "point index")
+    digits = np.array(digits_of(net_id, ctx.order))
+    return id_of((digits ^ ctx.eigensystems.flips[:, beta_index]).tolist(), ctx.order)
 
 
 def classify_nets(ctx: NetContext) -> dict:
@@ -305,28 +311,24 @@ def classify_nets(ctx: NetContext) -> dict:
     Two nets are in one orbit when some translation operator conjugates
     every projector of one into the other.  Returns
     {representative: sorted tuple of member ids}; the representative is the
-    smallest id in the orbit.
+    smallest id in the orbit.  Row i of the (ids, N^2) table of translates
+    (see `translate_net_id`) is the orbit of id i, since the translations
+    form a group, so the representative of id i is its row minimum.
     """
     if ctx.order > FULL_ENUMERATION_LIMIT:
         raise UnsupportedDimensionError(
             f"classification over all {ctx.net_count} nets refused for N={ctx.order}"
         )
-    n_points = ctx.order**2
-    seen = {}
-    orbits = {}
-    for net_id in enumerate_nets(ctx):
-        if net_id in seen:
-            continue
-        orbit = sorted(
-            {translate_net_id(ctx, net_id, b) for b in range(n_points)}
-        )
-        if net_id not in orbit:
-            raise NetConstructionError("identity shift failed to fix the net")
-        rep = orbit[0]
-        orbits[rep] = tuple(orbit)
-        for member in orbit:
-            seen[member] = rep
-    return orbits
+    ids = np.arange(ctx.net_count)
+    place = ctx.order ** np.arange(ctx.order, -1, -1)  # striation 0 most significant
+    digits = ids[:, None] // place % ctx.order
+    moved = digits[:, :, None] ^ ctx.eigensystems.flips  # [id, s, beta]
+    translates = np.einsum("isb,s->ib", moved, place)
+    if not np.array_equal(translates[:, 0], ids):  # point 0 is the origin
+        raise NetConstructionError("identity shift failed to fix the net")
+    reps = np.flatnonzero(translates.min(axis=1) == ids).tolist()
+    orbits = translates[reps].tolist()
+    return {rep: tuple(sorted(set(orbit))) for rep, orbit in zip(reps, orbits)}
 
 
 # -- product structure (two-qubit nets) ----------------------------------

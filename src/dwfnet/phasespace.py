@@ -16,6 +16,8 @@ translation group T_{t(a,b)} acting along its own lines.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .ffield import GF2m
@@ -28,7 +30,7 @@ class PhaseSpace:
     horizontal (1,0), then (1, w^k) for k = 0 .. N-2 in increasing power of
     the primitive element w.  Net identifiers depend on this order.
 
-    The read-only tables, built from one N x N table of field products:
+    The read-only tables, built from the field's N x N table of products:
     `offsets[s, alpha]` is the c of striation s's line through point alpha,
     b*q + a*p for the generator (a, b); `lines[s, c]` holds that line's N
     points in ascending order, so `lines[s, c, 0]` is the line's smallest
@@ -40,11 +42,12 @@ class PhaseSpace:
         self.field = fld
         self.order = n = fld.order
 
-        # w = 2 is the primitive element
-        directions = [(0, 1), (1, 0)] + [(1, fld.pow(2, k)) for k in range(n - 1)]
+        mul = fld.products
+        # w = 2 is the primitive element; its powers w^0 .. w^(N-2)
+        powers = accumulate(range(n - 2), lambda w, _: mul[w, 2], initial=1)
+        directions = [(0, 1), (1, 0)] + [(1, int(w)) for w in powers]
         self.directions = tuple(directions)
 
-        mul = np.array([[fld.mul(a, b) for b in range(n)] for a in range(n)])
         a, b = np.array(directions).T
         q, p = np.divmod(np.arange(n * n), n)
         # the ray {t(a,b)} satisfies b*q + a*p = 0

@@ -25,10 +25,11 @@ stabilizer projectors (Aaronson & Gottesman, quant-ph/0406196), so no
 eigensolver and no floating-point comparison decides any ordering.  Every
 non-identity Pauli word lies on exactly one striation's ray, and its
 eigenvalue on each of that striation's states is an exact +-1 kept in
-`StriationEigensystem.signs`.  Those tables and `flips` are integer work
-on the masks; the dense operators (`TranslationTable.matrices`) and
-projectors (`StriationEigensystem.states`) are built on first access,
-for the oracles of `verify` and the point operators of `nets`.
+`Eigensystems.signs`, stacked over all striations.  Those tables and
+`flips` are integer work on the masks; the dense operators
+(`TranslationTable.matrices`) and projectors (`Eigensystems.states`) are
+built on first access, for the oracles of `verify` and the point
+operators of `nets`.
 """
 
 from __future__ import annotations
@@ -146,9 +147,7 @@ class TranslationTable:
         self.space = space
         fld = space.field
         m, n = fld.m, space.order
-        # expansion is GF(2)-linear: expand each field element once
-        qbits = np.array([fld.expand(a) for a in fld.elements()])
-        pbits = np.array([fld.expand(a, dual=True) for a in fld.elements()])
+        qbits, pbits = fld.expansions(), fld.expansions(dual=True)
         weights = 1 << np.arange(m)[::-1]
         self.x = np.repeat(qbits @ weights, n)
         self.z = np.tile(pbits @ weights, n)
@@ -171,74 +170,75 @@ class TranslationTable:
         return _ODD[(x[alpha] & z[beta]) ^ (z[alpha] & x[beta])]
 
 
-class StriationEigensystem:
-    """The commuting translation group of one striation and its eigenbasis.
+class Eigensystems:
+    """The commuting translation groups of all N+1 striations and their
+    eigenbases, as integer tables stacked over the striation s.
 
-    `ray[s]` = `space.rays[striation_id, s]` is the point index of s(a,b)
-    for the field element s.  The group is generated by g_i = T_{s_i(a,b)}
-    = X^{x_i} Z^{z_i} (point index `gens[i]`) with s_i the i-th polynomial
-    basis element, and `states[d]` is the exact stabilizer projector
+    `rays[s, t]` = `space.rays[s, t]` is the point index of t(a,b) for the
+    field element t.  Striation s's group is generated by
+    g_i = T_{t_i(a,b)} = X^{x_i} Z^{z_i} (point index `gens[s, i]`) with t_i
+    the i-th polynomial basis element, and `states[s, d]` is the exact
+    stabilizer projector
 
         prod_i (I + (-1)^{bit_i(d)} g_i / lambda_i) / 2,
 
     with lambda_i = 1 or i as g_i^2 = +I or -I and bit 0 the most
     significant bit of d.  Bit 0 picks the eigenvalue +lambda_i, bit 1 picks
     -lambda_i, so the states run in ascending lexicographic order of the
-    generators' eigenvalue phases.  `states` is an (N, N, N) array built on
-    first access, for the oracles and a net's point operators.
+    generators' eigenvalue phases.  `states` is an (N+1, N, N, N) array built
+    on first access, for the oracles and a net's point operators.
 
-    `flips[alpha]` holds the bits of d that the translation with point
+    `flips[s, alpha]` holds the bits of d that the translation with point
     index alpha flips, one commutation bit per generator:
-    T_alpha P_d T_alpha^dag = P_{d ^ flips[alpha]}.
+    T_alpha P_{s,d} T_alpha^dag = P_{s, d ^ flips[s, alpha]}.
 
-    `signs[d, k]` = Tr(Sigma_{pauli[ray[k + 1]]} P_d), exactly +-1: the
-    eigenvalue of the k-th non-identity Pauli word of the ray on state d,
-    read off the masks.  With s = sum_i b_i s_i, b_i = (s >> i) & 1,
+    `signs[s, d, k]` = Tr(Sigma_{pauli[rays[s, k + 1]]} P_{s,d}), exactly
+    +-1: the eigenvalue of the k-th non-identity Pauli word of the ray on
+    state d, read off the masks.  With t = sum_i b_i t_i, b_i = (t >> i) & 1,
     reordering the product of the g_i^{b_i} gives
-    Sigma_s = i^{e_s} prod_i (g_i / lambda_i)^{b_i}, so its eigenvalue on
-    state d is i^{e_s} (-1)^{sum_i b_i bit_i(d)}, where
-    e_s = |x_s & z_s| + 2 phi_s + sum_i b_i (|x_i & z_i| mod 2) is 0 or 2
-    mod 4 and phi_s = sum_{i<j} b_i b_j |z_i & x_j|.
+    Sigma_t = i^{e_t} prod_i (g_i / lambda_i)^{b_i}, so its eigenvalue on
+    state d is i^{e_t} (-1)^{sum_i b_i bit_i(d)}, where
+    e_t = |x_t & z_t| + 2 phi_t + sum_i b_i (|x_i & z_i| mod 2) is 0 or 2
+    mod 4 and phi_t = sum_{i<j} b_i b_j |z_i & x_j|.
     """
 
-    def __init__(self, space: PhaseSpace, striation_id: int,
-                 table: TranslationTable) -> None:
+    def __init__(self, space: PhaseSpace, table: TranslationTable) -> None:
         fld = space.field
-        self.striation_id = striation_id
         self.table = table
-        self.ray = space.rays[striation_id]
-        self.gens = gens = self.ray[list(fld.basis)]
+        self.rays = rays = space.rays
+        self.gens = gens = rays[:, list(fld.basis)]
         points = np.arange(len(table.x))[:, None]
-        self.flips = table.anticommutes(points, gens) @ (1 << np.arange(fld.m)[::-1])
-        if self.flips[gens].any():
+        weights = 1 << np.arange(fld.m)[::-1]
+        self.flips = table.anticommutes(points, gens[:, None, :]) @ weights
+        broken = np.flatnonzero(np.take_along_axis(self.flips, gens, axis=1).any(axis=1))
+        if broken.size:
             raise NonCommutingError(
-                f"striation {self.striation_id} translations do not "
+                f"striation {broken[0]} translations do not "
                 "commute; field basis duality is misconfigured"
             )
-        x, z, gx, gz = table.x[self.ray], table.z[self.ray], table.x[gens], table.z[gens]
-        bits = (np.arange(fld.order)[:, None] >> np.arange(fld.m)) & 1  # b_i(s)
-        upper = np.triu(_ODD[gz[:, None] & gx[None, :]], 1)
-        phi = np.einsum("si,ij,sj->s", bits, upper, bits)
-        e = _WEIGHT[x & z] + 2 * phi + bits @ _ODD[gx & gz]
+        x, z, gx, gz = table.x[rays], table.z[rays], table.x[gens], table.z[gens]
+        bits = (np.arange(fld.order)[:, None] >> np.arange(fld.m)) & 1  # b_i(t)
+        upper = np.triu(_ODD[gz[:, :, None] & gx[:, None, :]], 1)
+        phi = np.einsum("ti,sij,tj->st", bits, upper, bits)
+        e = _WEIGHT[x & z] + 2 * phi + _ODD[gx & gz] @ bits.T
         # bits[d, ::-1][i] is bit_i(d), counted from the most significant
         parity = (bits[:, ::-1] @ bits[1:].T) & 1
-        self.signs = (1 - (e[1:] & 2)) * (1 - 2 * parity)
+        self.signs = (1 - (e[:, None, 1:] & 2)) * (1 - 2 * parity)
 
     @cached_property
     def states(self) -> np.ndarray:
         table = self.table
-        eye = np.eye(len(self.ray), dtype=complex)
-        states = [eye]
-        for g in self.gens:
+        eye = np.eye(table.space.order, dtype=complex)
+        states = np.broadcast_to(eye, (len(self.gens), 1) + eye.shape)
+        for g in self.gens.T:
             # g^2 = (-1)^{|x & z|} I, and 1/i = -i
-            h = table.matrices[g] * (-1j if _ODD[table.x[g] & table.z[g]] else 1)
-            halves = ((eye + h) / 2, (eye - h) / 2)
-            states = [s @ half for s in states for half in halves]
-        return np.array(states)
+            odd = _ODD[table.x[g] & table.z[g]]
+            h = table.matrices[g] * _MINUS_I_POWERS[odd, None, None]
+            halves = np.stack([(eye + h) / 2, (eye - h) / 2], axis=1)
+            states = (states[:, :, None] @ halves[:, None]).reshape(len(g), -1, *eye.shape)
+        return states
 
 
-def build_eigensystems(space: PhaseSpace, table: TranslationTable) -> tuple:
-    """One eigensystem per striation, in canonical striation order."""
-    return tuple(
-        StriationEigensystem(space, s, table) for s in range(space.order + 1)
-    )
+def build_eigensystems(space: PhaseSpace, table: TranslationTable) -> Eigensystems:
+    """The eigensystems of all striations, stacked in canonical striation order."""
+    return Eigensystems(space, table)

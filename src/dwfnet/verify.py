@@ -80,39 +80,25 @@ def _net_ids(ctx, sample_large: int = 100):
 def suite_field_axioms(n: int) -> SuiteResult:
     r = SuiteResult("field-axioms", n)
     f = GF2m(n)
-    elems = list(f.elements())
-    for x in elems:
-        for y in elems:
-            r.expect(f.add(x, y) == f.add(y, x), f"add not commutative at {x},{y}")
-            r.expect(f.mul(x, y) == f.mul(y, x), f"mul not commutative at {x},{y}")
-            for z in elems:
-                r.expect(
-                    f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z)),
-                    f"distributivity fails at {x},{y},{z}",
-                )
-                r.expect(
-                    f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z)),
-                    f"mul not associative at {x},{y},{z}",
-                )
-    for x in elems[1:]:
-        r.expect(f.mul(x, f.inv(x)) == 1, f"inverse fails at {x}")
-    for i in range(f.m):
-        for j in range(f.m):
-            r.expect(
-                f.trace(f.mul(f.basis[i], f.dual_basis[j])) == (1 if i == j else 0),
-                f"basis duality fails at {i},{j}",
-            )
-    for x in elems:
-        for y in elems:
-            dot = sum(
-                a & b for a, b in zip(f.expand(x), f.expand(y, dual=True))
-            ) % 2
-            r.expect(dot == f.trace(f.mul(x, y)), f"trace pairing fails at {x},{y}")
-        r.expect(f.compose(f.expand(x)) == x, f"primal round trip fails at {x}")
-        r.expect(
-            f.compose(f.expand(x, dual=True), dual=True) == x,
-            f"dual round trip fails at {x}",
-        )
+    mul, x = f.products, np.arange(f.order)
+    y, z = x[:, None], x[:, None, None]
+    r.expect(y ^ x == x ^ y, "add not commutative")
+    r.expect(mul == mul.T, "mul not commutative")
+    r.expect(mul[z, y ^ x] == mul[z, y] ^ mul[z, x], "distributivity fails")
+    r.expect(mul[mul[z, y], x] == mul[z, mul[y, x]], "mul not associative")
+    for a in x[1:]:
+        r.expect(f.mul(a, f.inv(a)) == 1, f"inverse fails at {a}")
+    r.expect(
+        f.traces[mul[np.ix_(f.basis, f.dual_basis)]] == np.eye(f.m),
+        "basis duality fails",
+    )
+    dot = f.expansions() @ f.expansions(dual=True).T % 2
+    r.expect(dot == f.traces[mul], "trace pairing fails")
+    r.expect([f.compose(f.expand(a)) == a for a in x], "primal round trip fails")
+    r.expect(
+        [f.compose(f.expand(a, dual=True), dual=True) == a for a in x],
+        "dual round trip fails",
+    )
     return r
 
 
@@ -152,10 +138,10 @@ def suite_phase_geometry(n: int) -> SuiteResult:
 
 
 def dense_ray_signs(es, table) -> np.ndarray:
-    """Tr(Sigma P_d) of each non-identity ray word on each dense state of
-    the eigensystem: the oracle of the mask-derived `es.signs`."""
-    words = pauli_words(table.space.field.m)[table.pauli[es.ray[1:]]]
-    return np.einsum("dab,kba->dk", es.states, words, optimize=True)
+    """Tr(Sigma P_{s,d}) of each non-identity ray word on each dense state of
+    every striation s: the oracle of the mask-derived `es.signs`."""
+    words = pauli_words(table.space.field.m)[table.pauli[es.rays[:, 1:]]]
+    return np.einsum("sdab,skba->sdk", es.states, words, optimize=True)
 
 
 def suite_translations(n: int) -> SuiteResult:
@@ -163,26 +149,24 @@ def suite_translations(n: int) -> SuiteResult:
     ctx = net_context(n)
     table = ctx.table
     nn = ctx.order
-    for es in ctx.eigensystems:
-        r.expect(
-            np.array_equal(dense_ray_signs(es, table), es.signs),
-            f"striation {es.striation_id} ray word signs differ from the states",
-        )
-        ops = table.matrices[es.ray]
+    es = ctx.eigensystems
+    same = (dense_ray_signs(es, table) == es.signs).all(axis=(1, 2))
+    for s in range(nn + 1):
+        r.expect(same[s], f"striation {s} ray word signs differ from the states")
+        ops = table.matrices[es.rays[s]]
         u, v = (ops[k] for k in np.triu_indices(nn, 1))  # every pair once
         r.expect(
             np.abs(u @ v - v @ u).max(axis=(1, 2)) < 1e-10,
-            f"striation {es.striation_id} ops do not commute",
+            f"striation {s} ops do not commute",
         )
-        moved = ops @ es.states[:, None] @ ops.conj().transpose(0, 2, 1)  # [state, op]
+        moved = ops @ es.states[s, :, None] @ ops.conj().transpose(0, 2, 1)  # [state, op]
         r.expect(
-            np.abs(moved - es.states[:, None]).max(axis=(2, 3)) < 1e-10,
-            f"striation {es.striation_id} state not invariant",
+            np.abs(moved - es.states[s, :, None]).max(axis=(2, 3)) < 1e-10,
+            f"striation {s} state not invariant",
         )
-    for i, ea in enumerate(ctx.eigensystems):
-        for eb in ctx.eigensystems[i + 1 :]:
-            overlaps = np.einsum("aij,bji->ab", ea.states, eb.states).real
-            r.expect(np.abs(overlaps - 1.0 / nn) < 1e-10, "bases not mutually unbiased")
+    for a, b in combinations(range(nn + 1), 2):
+        overlaps = np.einsum("aij,bji->ab", es.states[a], es.states[b]).real
+        r.expect(np.abs(overlaps - 1.0 / nn) < 1e-10, "bases not mutually unbiased")
     points = np.arange(nn * nn)
     for p1, t in enumerate(table.matrices):
         prod = t @ table.matrices

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -169,6 +170,27 @@ def test_nets_detect_product(capsys, monkeypatch):
     assert forms.count("eq6") == 16
     assert forms.count("eq7") == 16
     assert forms.count("none") == 1024 - 32
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["nets", "--n", "1", "--classify"],
+            "efb19964706ae35c7275da1009c95bd9e76ac77d7eceb4315c447f162484c25c",
+        ),
+        (
+            ["nets", "--n", "2", "--classify", "--detect-product"],
+            "efa422f0b305d4039b365a750fd12584e016663fa21accf78f25e929db7c1ec9",
+        ),
+    ],
+)
+def test_nets_atlas_is_pinned(capsys, argv, digest):
+    # ids, digits, orbit labels and product forms are all integers or
+    # fixed strings, so the exact stdout is platform independent
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_nets_detect_product_wrong_n(capsys, monkeypatch):

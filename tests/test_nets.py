@@ -31,6 +31,7 @@ from dwfnet import (
     translate_net_id,
 )
 from dwfnet import nets
+from dwfnet.wigner import WignerFunction
 from dwfnet.errors import UnsupportedDimensionError, ValidationError
 from dwfnet.reduction import _reduction_map_cached
 from dwfnet.translations import xz_tables
@@ -142,6 +143,46 @@ def test_bad_net_id():
         build_net(ctx, 8)
     with pytest.raises(ValidationError):
         build_net(ctx, -1)
+
+
+@pytest.mark.parametrize("bad", [5.0, True, np.float64(5.0), "5", None])
+def test_net_id_must_be_an_integer(bad):
+    # a float or bool id used to pass the range check alone
+    ctx = net_context(2)
+    w = np.full(16, 1 / 16)
+    for call in (
+        lambda: nets.check_net_id(bad, 4),
+        lambda: digits_of(bad, 4),
+        lambda: build_net(ctx, bad),
+        lambda: WignerFunction(2, bad, w),
+        lambda: id_of([bad, 0, 0, 0, 0], 4),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+    with pytest.raises(ValidationError):
+        id_of([0.5, 0, 0, 0, 0], 4)
+    with pytest.raises(ValidationError):
+        enumerate_nets(net_context(3), sample=True)
+    with pytest.raises(ValidationError):
+        enumerate_nets(net_context(3), sample=10.0)
+
+
+def test_numpy_integer_net_ids_pass():
+    ctx = net_context(2)
+    assert digits_of(np.int64(5), 4) == digits_of(5, 4)
+    assert id_of(np.array([0, 0, 0, 1, 1]), 4) == 5
+    assert build_net(ctx, np.int32(5)).digits == (0, 0, 0, 1, 1)
+    assert WignerFunction(2, np.uint8(5), np.full(16, 1 / 16)).net_id == 5
+    assert len(enumerate_nets(net_context(3), sample=np.int64(3))) == 3
+
+
+def test_translate_net_id_rejects_points_outside_the_plane():
+    ctx = net_context(2)
+    assert translate_net_id(ctx, 0, 0) == 0
+    assert translate_net_id(ctx, 0, 15) == 653
+    for beta in (-1, 16, 1.0, True):
+        with pytest.raises(ValidationError):
+            translate_net_id(ctx, 0, beta)
 
 
 def test_translate_net_id_is_group_action():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -91,12 +93,13 @@ def test_signs_are_ray_word_eigenvalues():
     # P_d Sigma = signs[d, k] P_d for the k-th non-identity ray word
     for m in [1, 2, 3, 4, 5]:
         ctx = net_context(m)
-        for es in ctx.eigensystems:
-            assert es.signs.shape == (ctx.order, ctx.order - 1)
-            words = pauli_words(m)[ctx.table.pauli[es.ray[1:]]]
-            for d, p in enumerate(es.states):
+        es = ctx.eigensystems
+        assert es.signs.shape == (ctx.order + 1, ctx.order, ctx.order - 1)
+        for s in range(ctx.order + 1):
+            words = pauli_words(m)[ctx.table.pauli[es.rays[s, 1:]]]
+            for d, p in enumerate(es.states[s]):
                 for k, word in enumerate(words):
-                    assert np.array_equal(p @ word, es.signs[d, k] * p)
+                    assert np.array_equal(p @ word, es.signs[s, d, k] * p)
 
 
 def test_table_is_unitary_and_traceless():
@@ -148,14 +151,14 @@ def test_eigensystems_are_mubs():
     for m in [1, 2]:
         ps = PhaseSpace(GF2m(m))
         n = ps.order
-        systems = build_eigensystems(ps, TranslationTable(ps))
-        assert len(systems) == n + 1
-        for i, sa in enumerate(systems):
-            for p in sa.states:
+        states = build_eigensystems(ps, TranslationTable(ps)).states
+        assert len(states) == n + 1
+        for i, sa in enumerate(states):
+            for p in sa:
                 assert np.trace(p) == pytest.approx(1.0)
-            for sb in systems[i + 1 :]:
-                for pa in sa.states:
-                    for pb in sb.states:
+            for sb in states[i + 1 :]:
+                for pa in sa:
+                    for pb in sb:
                         ov = np.trace(pa @ pb).real
                         assert ov == pytest.approx(1.0 / n, abs=1e-10)
 
@@ -163,9 +166,9 @@ def test_eigensystems_are_mubs():
 def test_eigenstates_invariant_under_ray_translations():
     ps = PhaseSpace(GF2m(2))
     table = TranslationTable(ps)
-    for ray, system in zip(ps.rays, build_eigensystems(ps, table)):
+    for ray, states in zip(ps.rays, build_eigensystems(ps, table).states):
         for t in table.matrices[ray]:
-            for p in system.states:
+            for p in states:
                 assert np.allclose(t @ p @ dagger(t), p)
 
 
@@ -174,23 +177,23 @@ def test_eigenstates_invariant_under_ray_translations():
 
 
 def test_single_qubit_z_states():
-    z = net_context(1).eigensystems[0]
-    assert np.array_equal(z.states, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    z = net_context(1).eigensystems.states[0]
+    assert np.array_equal(z, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
 def test_single_qubit_x_states():
     plus = np.full((2, 2), 0.5)
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    x = net_context(1).eigensystems[1]
-    assert np.array_equal(x.states, [plus, minus])
+    x = net_context(1).eigensystems.states[1]
+    assert np.array_equal(x, [plus, minus])
 
 
 def test_single_qubit_xz_states():
     left = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
     right = np.array([[0.5, -0.5j], [0.5j, 0.5]])
-    xz = net_context(1).eigensystems[2]
-    assert np.array_equal(xz.states, [left, right])
-    for p in xz.states:
+    xz = net_context(1).eigensystems.states[2]
+    assert np.array_equal(xz, [left, right])
+    for p in xz:
         assert np.array_equal(p @ p, p)
         assert np.array_equal(dagger(p), p)
 
@@ -200,13 +203,14 @@ def test_states_resolve_identity():
     for m in [1, 2, 3]:
         ctx = net_context(m)
         eye = np.eye(ctx.order)
-        for es in ctx.eigensystems:
-            assert np.array_equal(es.states.sum(axis=0), eye)
-            for p in es.states:
+        es = ctx.eigensystems
+        for s in range(ctx.order + 1):
+            assert np.array_equal(es.states[s].sum(axis=0), eye)
+            for p in es.states[s]:
                 assert np.array_equal(p, dagger(p))
                 assert np.array_equal(p @ p, p)
                 assert np.trace(p) == 1.0
-                for u in ctx.table.matrices[es.ray]:
+                for u in ctx.table.matrices[es.rays[s]]:
                     assert np.array_equal(u @ p, p @ u)
 
 
@@ -216,32 +220,50 @@ def test_states_follow_documented_eigen_order():
     for m in [1, 2, 3, 4, 5]:
         ctx = net_context(m)
         gens = ctx.field.basis
-        for es in ctx.eigensystems:
+        es = ctx.eigensystems
+        for s in range(ctx.order + 1):
             keys = []
-            for p in es.states:
-                lams = [np.trace(ctx.table.matrices[es.ray[g]] @ p) for g in gens]
+            for p in es.states[s]:
+                lams = [np.trace(ctx.table.matrices[es.rays[s, g]] @ p) for g in gens]
                 assert np.allclose(np.abs(lams), 1.0)
                 turns = [np.angle(lam) / (np.pi / 2) for lam in lams]
                 assert np.allclose(turns, np.round(turns))
                 keys.append(tuple(int(round(t)) % 4 for t in turns))
-            assert all(a < b for a, b in zip(keys, keys[1:])), (m, es.striation_id)
+            assert all(a < b for a, b in zip(keys, keys[1:])), (m, s)
 
 
 def test_flips_permute_states():
     # T_alpha P_d T_alpha^dag = P_{d ^ flips[alpha]}, exactly
     for m in [1, 2, 3]:
         ctx = net_context(m)
-        for es in ctx.eigensystems:
-            for t, flip in zip(ctx.table.matrices, es.flips):
-                for d, p in enumerate(es.states):
-                    assert np.array_equal(t @ p @ dagger(t), es.states[d ^ flip])
+        es = ctx.eigensystems
+        for s in range(ctx.order + 1):
+            for t, flip in zip(ctx.table.matrices, es.flips[s]):
+                for d, p in enumerate(es.states[s]):
+                    assert np.array_equal(t @ p @ dagger(t), es.states[s, d ^ flip])
+
+
+def test_striation_tables_fingerprint():
+    # gens, flips and signs as int64, m = 1..5 in order; net ids and every
+    # sign vector are read off these tables
+    digest = hashlib.sha256()
+    for m in [1, 2, 3, 4, 5]:
+        es = net_context(m).eigensystems
+        n = 2**m
+        assert es.gens.shape == (n + 1, m)
+        assert es.flips.shape == (n + 1, n * n)
+        for table in (es.gens, es.flips, es.signs):
+            digest.update(np.ascontiguousarray(table, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == (
+        "69095f018476b310ae66f9d7d71179a9547fa395163687847362b3238703594f"
+    )
 
 
 def test_misconfigured_duality_raises():
     fld = GF2m(3)
     fld.dual_basis = fld.basis  # break the trace-dual pairing of q and p
     ps = PhaseSpace(fld)
-    with pytest.raises(NonCommutingError):
+    with pytest.raises(NonCommutingError, match="striation 3 "):
         build_eigensystems(ps, TranslationTable(ps))
 
 
@@ -250,12 +272,14 @@ def test_dense_oracle_catches_misassigned_ray_words():
     # agreeing once the words are assigned to the wrong points
     ps = PhaseSpace(GF2m(2))
     table = TranslationTable(ps)
-    systems = build_eigensystems(ps, table)
-    for es in systems:
-        assert np.array_equal(dense_ray_signs(es, table), es.signs)
+    es = build_eigensystems(ps, table)
+    dense = dense_ray_signs(es, table)
+    for s in range(ps.order + 1):
+        assert np.array_equal(dense[s], es.signs[s])
     table.pauli = table.pauli[::-1]
-    for es in systems:
-        assert not np.array_equal(dense_ray_signs(es, table), es.signs)
+    dense = dense_ray_signs(es, table)
+    for s in range(ps.order + 1):
+        assert not np.array_equal(dense[s], es.signs[s])
 
 
 def test_net_context_builds_no_dense_array():
@@ -264,8 +288,7 @@ def test_net_context_builds_no_dense_array():
     for m in [3, 4, 5]:
         ctx = NetContext(m)
         assert "matrices" not in vars(ctx.table)
-        for es in ctx.eigensystems:
-            assert "states" not in vars(es)
+        assert "states" not in vars(ctx.eigensystems)
 
 
 def test_composition_phase():
