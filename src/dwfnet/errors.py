@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one integer rule."""
+
+from numbers import Integral
 
 
 class DwfError(Exception):
@@ -39,3 +41,15 @@ class PurityError(DwfError):
 
 class UnsupportedNetError(DwfError):
     """Operation is only defined for product-structured nets."""
+
+
+def check_int(value, start, stop, what: str, error: type = ValidationError) -> int:
+    """The package's one integer rule: `value` as an int if it is an integer in
+    [start, stop), else raise `error`.  Numpy integers pass; bools do not."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise error(f"{what} {value!r} is not an integer")
+        value = int(value)
+    if not start <= value < stop:
+        raise error(f"{what} {value} out of range [{start}, {stop})")
+    return value

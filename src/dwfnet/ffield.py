@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FieldDomainError, UnsupportedDimensionError
+from .errors import FieldDomainError, UnsupportedDimensionError, ValidationError, check_int
 
 _IRREDUCIBLE = {
     1: 0b10,
@@ -27,7 +27,12 @@ _IRREDUCIBLE = {
     4: 0b10011,
     5: 0b100101,
 }
-SUPPORTED_DEGREES = tuple(_IRREDUCIBLE)
+SUPPORTED_DEGREES = tuple(_IRREDUCIBLE)  # contiguous, 1..5
+
+
+def check_degree(m, what: str = "qubit count n", error: type = ValidationError) -> int:
+    """`m` as an int if it is one of SUPPORTED_DEGREES, else raise `error`."""
+    return check_int(m, SUPPORTED_DEGREES[0], SUPPORTED_DEGREES[-1] + 1, what, error)
 
 
 class GF2m:
@@ -46,11 +51,7 @@ class GF2m:
     """
 
     def __init__(self, m: int) -> None:
-        if m not in _IRREDUCIBLE:
-            raise UnsupportedDimensionError(
-                f"unsupported extension degree m={m}; must be in {sorted(_IRREDUCIBLE)}"
-            )
-        self.m = m
+        self.m = m = check_degree(m, "extension degree m", UnsupportedDimensionError)
         self.order = n = 1 << m
         self.poly = _IRREDUCIBLE[m]
         self.basis = tuple(1 << i for i in range(m))
@@ -82,8 +83,7 @@ class GF2m:
 
     def _check(self, *values: int) -> None:
         for v in values:
-            if not 0 <= v < self.order:
-                raise FieldDomainError(f"{v} is not an element of GF(2^{self.m})")
+            check_int(v, 0, self.order, "field element", FieldDomainError)
 
     def add(self, a: int, b: int) -> int:
         """Field addition (characteristic 2, so XOR of coefficient masks)."""
@@ -98,8 +98,7 @@ class GF2m:
     def pow(self, a: int, e: int) -> int:
         """a**e by square and multiply; 0**0 == 1 by convention."""
         self._check(a)
-        if e < 0:
-            raise FieldDomainError(f"negative exponent {e}; use inv")
+        e = check_int(e, 0, float("inf"), "exponent", FieldDomainError)
         r = 1
         while e:
             if e & 1:

@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from .errors import ValidationError
-from .ffield import SUPPORTED_DEGREES
+from .ffield import check_degree
 from .stokes import StokesVector
 from .wigner import DensityState, WignerFunction
 
@@ -55,10 +55,7 @@ def _require(doc: dict, key: str, kind) -> object:
 
 
 def _require_n(doc: dict) -> int:
-    n = _require(doc, "n", int)
-    if n not in SUPPORTED_DEGREES:
-        raise ValidationError(f'field "n" must be in {list(SUPPORTED_DEGREES)}, got {n}')
-    return n
+    return check_degree(_require(doc, "n", int), 'field "n"')
 
 
 def _floats(value, key: str) -> np.ndarray:

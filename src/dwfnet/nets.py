@@ -24,7 +24,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from numbers import Integral
 
 import numpy as np
 
@@ -33,8 +32,9 @@ from .errors import (
     UnsupportedDimensionError,
     UnsupportedNetError,
     ValidationError,
+    check_int,
 )
-from .ffield import GF2m
+from .ffield import GF2m, check_degree
 from .phasespace import PhaseSpace
 from .translations import CONJ_SIGNS, TranslationTable, build_eigensystems, xz_tables
 
@@ -127,9 +127,12 @@ class NetContext:
         return _net_count(self.order)
 
 
-@lru_cache(maxsize=None)
 def net_context(m: int) -> NetContext:
-    return NetContext(m)
+    """The one cached NetContext per qubit count; numpy integers share it."""
+    return _net_context(check_degree(m, error=UnsupportedDimensionError))
+
+
+_net_context = lru_cache(maxsize=None)(NetContext)
 
 
 @lru_cache(maxsize=None)
@@ -137,18 +140,9 @@ def _net_count(order: int) -> int:
     return order ** (order + 1)
 
 
-def _check_index(value, start: int, stop: int, what: str) -> None:
-    """Reject a bool, a non-integral value or one outside [start, stop)
-    with ValidationError; numpy integers pass."""
-    if type(value) is not int and (type(value) is bool or not isinstance(value, Integral)):
-        raise ValidationError(f"{what} {value!r} is not an integer")
-    if not start <= value < stop:
-        raise ValidationError(f"{what} {value} out of range [{start}, {stop})")
-
-
 def check_net_id(net_id: int, order: int) -> None:
     """Reject a net id that is not an integer in [0, N^(N+1))."""
-    _check_index(net_id, 0, _net_count(order), "net id")
+    check_int(net_id, 0, _net_count(order), "net id")
 
 
 def digits_of(net_id: int, order: int) -> tuple:
@@ -166,7 +160,7 @@ def id_of(digits, order: int) -> int:
         raise ValidationError(f"invalid net digits {digits} for N={order}")
     value = 0
     for d in digits:
-        _check_index(d, 0, order, "net digit")
+        check_int(d, 0, order, "net digit")
         value = value * order + d
     return value
 
@@ -286,7 +280,7 @@ def enumerate_nets(ctx: NetContext, sample: int | None = None):
                 "pass an explicit sample count"
             )
         return range(total)
-    _check_index(sample, 1, total + 1, "sample count")
+    check_int(sample, 1, total + 1, "sample count")
     stride = total // sample
     return range(0, stride * sample, stride)
 
@@ -300,7 +294,7 @@ def translate_net_id(ctx: NetContext, net_id: int, beta_index: int) -> int:
     with the conjugation is the identity on covariantly built nets, so the
     conjugation action is what produces the size-N^2 orbits.)
     """
-    _check_index(beta_index, 0, ctx.order**2, "point index")
+    check_int(beta_index, 0, ctx.order**2, "point index")
     digits = np.array(digits_of(net_id, ctx.order))
     return id_of((digits ^ ctx.eigensystems.flips[:, beta_index]).tolist(), ctx.order)
 

@@ -20,6 +20,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .errors import check_int
 from .ffield import GF2m
 
 
@@ -61,4 +62,5 @@ class PhaseSpace:
     def lines_through(self, alpha: int) -> np.ndarray:
         """The N+1 lines containing point `alpha` as an (N+1, N) array of
         point indices, row s the line of striation s."""
+        alpha = check_int(alpha, 0, self.order**2, "point index")
         return self.lines[np.arange(self.order + 1), self.offsets[:, alpha]]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
@@ -27,7 +26,9 @@ from .errors import (
     PurityError,
     UnsupportedNetError,
     ValidationError,
+    check_int,
 )
+from .ffield import check_degree
 from .nets import QuantumNet, _signs_by_id, bytes_lru, detect_product_structure
 from .translations import xz_tables
 from .wigner import (
@@ -47,16 +48,10 @@ class KeepSet:
     keep: tuple
 
     def __post_init__(self):
-        keep = tuple(self.keep)
-        if any(isinstance(q, bool) or not isinstance(q, Integral) for q in keep):
-            raise ValidationError(f"keep positions {keep} must be integers")
-        keep = tuple(int(q) for q in keep)
-        if not keep:
-            raise ValidationError("keep set must be non-empty")
-        if list(keep) != sorted(set(keep)) or keep[0] < 0 or keep[-1] >= self.n:
-            raise ValidationError(
-                f"keep positions {keep} must be strictly increasing and < n={self.n}"
-            )
+        n = check_degree(self.n)
+        keep = tuple(check_int(q, 0, n, "keep position") for q in self.keep)
+        if not keep or list(keep) != sorted(set(keep)):
+            raise ValidationError(f"keep positions {keep} must be non-empty, strictly increasing")
         object.__setattr__(self, "keep", keep)
 
     @property

@@ -23,6 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ValidationError
+from .ffield import check_degree
 # HadamardMatrix, hadamard_matrix and pauli_words are re-exported here
 from .nets import HadamardMatrix, QuantumNet, hadamard_matrix
 from .translations import CONJ_SIGNS, pauli_coefficients, pauli_words, xz_tables
@@ -38,9 +39,11 @@ class StokesVector:
     s: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        if s.shape != (4**self.n,):
-            raise ValidationError(f"s must have length {4 ** self.n} for n={self.n}")
+        size = 4 ** check_degree(self.n)
+        s = np.array(self.s, dtype=float)
+        if s.shape != (size,):
+            raise ValidationError(f"s must have length {size} for n={self.n}")
+        s.flags.writeable = False
         object.__setattr__(self, "s", s)
 
 

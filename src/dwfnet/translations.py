@@ -40,6 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NonCommutingError
+from .ffield import check_degree
 from .phasespace import PhaseSpace
 
 _SIGMA = (
@@ -59,9 +60,13 @@ _WEIGHT = np.array([bin(v).count("1") for v in range(32)], dtype=np.int64)
 _ODD = _WEIGHT & 1
 
 
-@lru_cache(maxsize=8)
 def pauli_words(n: int) -> np.ndarray:
     """All 4^n Pauli words as a (4^n, 2^n, 2^n) array in index order."""
+    return _pauli_words(check_degree(n))
+
+
+@lru_cache(maxsize=8)
+def _pauli_words(n: int) -> np.ndarray:
     words = [np.array([[1.0 + 0.0j]])]
     for _ in range(n):
         words = [np.kron(w, s) for w in words for s in _SIGMA]

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
+from .errors import UnsupportedDimensionError, ValidationError
 from .ffield import GF2m
 from .nets import (
     build_net,
@@ -591,7 +591,7 @@ def run_suites(n: int, names=None) -> list:
     results = []
     for name in selected:
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+            raise ValidationError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
         allowed = _RESTRICTED.get(name)
         if allowed is not None and n not in allowed:
             if names is not None:

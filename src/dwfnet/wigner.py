@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NetMismatchError, ValidationError
+from .errors import NetMismatchError, ValidationError, check_int
+from .ffield import check_degree
 from .nets import QuantumNet, _signs_by_id, check_net_id, net_context
 from .translations import operator_from_grid, pauli_grid, xz_tables
 
@@ -34,14 +35,14 @@ PSD_TOL = -1e-9
 
 @dataclass(frozen=True)
 class DensityState:
-    """A validated n-qubit density operator."""
+    """A validated n-qubit density operator, holding a read-only copy."""
 
     n: int
     rho: np.ndarray
 
     def __post_init__(self):
-        dim = 2**self.n
-        rho = np.asarray(self.rho, dtype=complex)
+        dim = 2 ** check_degree(self.n)
+        rho = np.array(self.rho, dtype=complex)
         if rho.shape != (dim, dim):
             raise ValidationError(f"rho must be {dim}x{dim} for n={self.n}")
         if not np.isfinite(rho).all():
@@ -62,27 +63,30 @@ class DensityState:
                     "remain well defined on Hermitian inputs",
                     stacklevel=2,
                 )
+        rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 
 
 @dataclass(frozen=True)
 class WignerFunction:
-    """A length-N^2 real Wigner vector tagged with its net identity."""
+    """A read-only copy of a length-N^2 real Wigner vector, tagged with its net."""
 
     n: int
     net_id: int
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.shape != (4**self.n,):
-            raise ValidationError(f"w must have length {4 ** self.n} for n={self.n}")
+        size = 4 ** check_degree(self.n)
+        w = np.array(self.w, dtype=float)
+        if w.shape != (size,):
+            raise ValidationError(f"w must have length {size} for n={self.n}")
         total = w.sum()
         if not math.isfinite(total) and not np.isfinite(w).all():
             raise ValidationError('field "w" has a non-finite entry')
         if abs(total - 1.0) > 1e-8:
             raise ValidationError(f"Wigner function sums to {float(total)}, not 1")
         check_net_id(self.net_id, 2**self.n)
+        w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
     @property
@@ -154,7 +158,8 @@ def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
 def line_probability(w: WignerFunction, line: np.ndarray) -> float:
     """Sum of Wigner values along the line, given as its point indices
     (a row of `PhaseSpace.lines`), = Tr(Q(line) rho)."""
-    return float(w.w[line].sum())
+    points = [check_int(alpha, 0, len(w.w), "point index") for alpha in line]
+    return float(w.w[points].sum())
 
 
 def purity_from_dwf(w: WignerFunction) -> float:
@@ -167,14 +172,14 @@ def purity_from_dwf(w: WignerFunction) -> float:
 
 def random_density(n: int, rng: np.random.Generator) -> DensityState:
     """Ginibre-construction mixed state: G G^dag normalized to unit trace."""
-    dim = 2**n
+    dim = 2 ** check_degree(n)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return DensityState(n, rho / np.trace(rho).real)
 
 
 def random_pure(n: int, rng: np.random.Generator) -> DensityState:
-    dim = 2**n
+    dim = 2 ** check_degree(n)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v = v / np.linalg.norm(v)
     return DensityState(n, np.outer(v, v.conj()))

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,10 +258,33 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_unknown_suite_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--n", "2", "--suite", "bogus"])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    # verify.run_suites is the one check of suite names, not argparse
+    code, out, err = run(capsys, ["verify", "--n", "2", "--suite", "bogus"])
+    assert code == 2
+    assert out == ""
+    assert "'bogus'" in err
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        ("1", "8007ee2bb290cedde0eab3cf6bcb596b2730768cd6fc210b2387d48836dfce8e"),
+        ("3", "194dc37b5e5e83d99ef947118854edcc8ccdc1beba3cc69198886bc74912d72d"),
+    ],
+)
+def test_verify_output_is_pinned(capsys, n, digest):
+    # the lines hold suite names and integer check counts only
+    code, out, _ = run(capsys, ["verify", "--n", n])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("module", ["dwfnet", "dwfnet.cli"])
+def test_import_leaves_verify_unloaded(module):
+    # a cold CLI call compiles and runs verify.py only for `dwfnet verify`
+    code = f"import sys, {module}; sys.exit('dwfnet.verify' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(jsonio.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize(
