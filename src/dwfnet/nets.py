@@ -36,7 +36,7 @@ from .errors import (
 )
 from .ffield import GF2m, check_degree
 from .phasespace import PhaseSpace
-from .translations import CONJ_SIGNS, TranslationTable, build_eigensystems, xz_tables
+from .translations import CONJ_SIGNS, TranslationTable, _xz_tables, build_eigensystems
 
 FULL_ENUMERATION_LIMIT = 4  # N above this needs explicit sampling
 # Byte budget of each per-net matrix cache: six times the census workload's
@@ -108,7 +108,7 @@ class NetContext:
         self.eigensystems = build_eigensystems(self.space, self.table)
         rays = self.space.rays[:, 1:]
         self.ray_cells = self.table.x[rays] * self.order + self.table.z[rays]
-        t = xz_tables(m)
+        t = _xz_tables(m)
         xs, zs = np.divmod(t.cells, self.order)  # masks of Stokes word j
         # point q * N + p has x = table.x[q * N] and z = table.z[p]
         self.k_x = t.wh[:, self.table.z[: self.order]][xs]
@@ -250,7 +250,7 @@ def _hadamard_by_id(n: int, net_id: int) -> HadamardMatrix:
     here in one broadcast from the context's factors `k_z` and `k_x` and
     not kept (8 MiB at n = 5)."""
     ctx = net_context(n)
-    c = _signs_by_id(n, net_id).ravel()[xz_tables(n).cells]
+    c = _signs_by_id(n, net_id).ravel()[_xz_tables(n).cells]
     h = ctx.k_z[:, :, None] * (ctx.k_x * c[:, None])[:, None, :]
     h = h.reshape(ctx.order**2, ctx.order**2)
     h.flags.writeable = False  # shared by every caller through the cache
@@ -363,5 +363,5 @@ def detect_product_structure(net: QuantumNet) -> ProductReport:
     if not np.array_equal(c, c[:, :1, :, :1] * c[:1, :, :1, :]):
         return ProductReport(False, "none")
     net_a = _single_qubit_net(first)
-    net_b_conj = _single_qubit_net(second * CONJ_SIGNS[xz_tables(1).stokes])
+    net_b_conj = _single_qubit_net(second * CONJ_SIGNS[_xz_tables(1).stokes])
     return ProductReport(True, "eq6" if first.prod() > 0 else "eq7", net_a, net_b_conj)

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ffield import check_degree
 from .nets import QuantumNet, _signs_by_id, bytes_lru, detect_product_structure
-from .translations import xz_tables
+from .translations import _xz_tables
 from .wigner import (
     WignerFunction,
     _layout,
@@ -79,8 +79,8 @@ def selection_matrix(keep: KeepSet) -> np.ndarray:
     Row r (a k-qubit Pauli index) selects the n-qubit Pauli index whose
     digits equal r's digits on kept positions and 0 on traced positions.
     """
-    cells = _kept_cells(keep.n, keep.keep)[0].ravel()[xz_tables(keep.k).cells]
-    return np.eye(4**keep.n, dtype=np.int64)[xz_tables(keep.n).stokes.ravel()[cells]]
+    cells = _kept_cells(keep.n, keep.keep)[0].ravel()[_xz_tables(keep.k).cells]
+    return np.eye(4**keep.n, dtype=np.int64)[_xz_tables(keep.n).stokes.ravel()[cells]]
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def reduce_dwf(w: WignerFunction, rmap: ReductionMap) -> WignerFunction:
             f"Wigner function (n={w.n}, net {w.net_id}) does not match reduction "
             f"map source (n={rmap.keep.n}, net {rmap.source_net})"
         )
-    return WignerFunction(rmap.keep.k, rmap.target_net, rmap.p @ w.w)
+    return WignerFunction._built(rmap.keep.k, rmap.target_net, rmap.p @ w.w)
 
 
 def convert_net(w: WignerFunction, target_net: QuantumNet) -> WignerFunction:
@@ -136,7 +136,7 @@ def convert_net(w: WignerFunction, target_net: QuantumNet) -> WignerFunction:
     if target_net.n_qubits != w.n:
         raise DimensionMismatchError("target net size differs from the input DWF")
     y = _signs_by_id(w.n, w.net_id) * _signs_by_id(w.n, target_net.net_id)
-    return WignerFunction(w.n, target_net.net_id, _sign_sandwich(w.w, y))
+    return WignerFunction._built(w.n, target_net.net_id, _sign_sandwich(w, y))
 
 
 # -- product-net shortcut (cross-check path) -------------------------------
@@ -168,10 +168,10 @@ def shortcut_reduce(w: WignerFunction, net: QuantumNet, which: str) -> WignerFun
     labels = net.ctx.table.labels  # per point: single-qubit point indices
     if which == "A":
         out = np.bincount(labels[:, 0], weights=w.w, minlength=4)
-        return WignerFunction(1, report.factor_a_net, out)
+        return WignerFunction._built(1, report.factor_a_net, out)
     if which == "B":
         marginal = np.bincount(labels[:, 1], weights=w.w, minlength=4)
-        return WignerFunction(1, report.factor_b_conj_net, 0.5 * _SIGN_KERNEL @ marginal)
+        return WignerFunction._built(1, report.factor_b_conj_net, 0.5 * _SIGN_KERNEL @ marginal)
     raise ValidationError(f"which must be 'A' or 'B', got {which!r}")
 
 

@@ -8,29 +8,32 @@ this convention H has pure +-1 entries, H^{-1} = H^T / N^2, and the
 subsystem selection matrices of the reduction engine are plain 0/1
 matrices.  A 1/2^n rescaling recovers the normalized convention.
 
-`stokes_from_rho` is `translations.pauli_coefficients`, and H = diag(c) K
-lives in `nets` (re-exported here).  F and G are K^T diag(y) K / N^2 with
-y the sign each word picks up under complex conjugation (F) or the spin
-flip (G), the same for every net: `conjugate_dwf` and `spinflip_dwf` apply
-them through `wigner._sign_sandwich`, the `_matrix` functions build them.
+`stokes_from_rho` is `translations.pauli_coefficients` and `stokes_from_dwf`
+is S = H W = c * (K W), both read from the value's memoised Stokes grid; H =
+diag(c) K lives in `nets` (re-exported here).  F and G are K^T diag(y) K /
+N^2 with y the sign each word picks up under complex conjugation (F) or the
+spin flip (G), the same for every net and cached per size: `conjugate_dwf`
+and `spinflip_dwf` apply them through `wigner._sign_sandwich`, the `_matrix`
+functions build them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import ValidationError
 from .ffield import check_degree
 # HadamardMatrix, hadamard_matrix and pauli_words are re-exported here
-from .nets import HadamardMatrix, QuantumNet, hadamard_matrix
-from .translations import CONJ_SIGNS, pauli_coefficients, pauli_words, xz_tables
-from .wigner import DensityState, WignerFunction, _sign_matrix, _sign_sandwich
+from .nets import HadamardMatrix, QuantumNet, _signs_by_id, hadamard_matrix
+from .translations import CONJ_SIGNS, _xz_tables, pauli_words
+from .wigner import DensityState, WignerFunction, _read_only, _sign_matrix, _sign_sandwich
 
-# sigma_y conj(sigma_j) sigma_y = _FLIP_SIGNS[j] sigma_j
-_FLIP_SIGNS = np.array([1, -1, -1, -1])
+# per-qubit signs of F and G: conj(sigma_j) = CONJ_SIGNS[j] sigma_j and
+# sigma_y conj(sigma_j) sigma_y = -sigma_j for j > 0
+_MAP_SIGNS = {"F": CONJ_SIGNS, "G": np.array([1, -1, -1, -1])}
 
 
 @dataclass(frozen=True)
@@ -39,25 +42,44 @@ class StokesVector:
     s: np.ndarray
 
     def __post_init__(self):
-        size = 4 ** check_degree(self.n)
-        s = np.array(self.s, dtype=float)
+        check_degree(self.n)
+        self._settle(np.array(self.s, dtype=float))
+
+    @classmethod
+    def _built(cls, n: int, s: np.ndarray) -> StokesVector:
+        """The vector of a library-built array for a checked n, without a copy."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "n", n)
+        vec._settle(s)
+        return vec
+
+    def _settle(self, s: np.ndarray) -> None:
+        size = 4**self.n
         if s.shape != (size,):
             raise ValidationError(f"s must have length {size} for n={self.n}")
-        s.flags.writeable = False
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", _read_only(s))
 
 
 def stokes_from_rho(state: DensityState) -> StokesVector:
     """s_j = Tr(rho Sigma_j); s[0] = 1 for unit-trace inputs."""
-    vals = pauli_coefficients(state.rho, state.n)
+    vals = state._pauli.ravel()[_xz_tables(state.n).cells]
     if np.max(np.abs(vals.imag)) > 1e-10:
         raise ValidationError("Stokes components carry imaginary residue")
-    return StokesVector(state.n, vals.real)
+    return StokesVector._built(state.n, vals.real.copy())
 
 
-def _word_signs(n: int, single_signs) -> np.ndarray:
-    """The Stokes grid y[x, z] of the product of each word's per-qubit signs."""
-    return reduce(np.multiply.outer, [single_signs] * n).ravel()[xz_tables(n).stokes]
+def stokes_from_dwf(w: WignerFunction) -> StokesVector:
+    """S = H W = c * (K W), read from the DWF's memoised K W without H."""
+    s = w._stokes * _signs_by_id(w.n, w.net_id)
+    return StokesVector._built(w.n, s.ravel()[_xz_tables(w.n).cells])
+
+
+@lru_cache(maxsize=16)
+def _word_signs(n: int, which: str) -> np.ndarray:
+    """The read-only Stokes grid y[x, z] of F or G: the product of each
+    word's per-qubit signs, built once per size and map."""
+    y = reduce(np.multiply.outer, [_MAP_SIGNS[which]] * n).ravel()[_xz_tables(n).stokes]
+    return _read_only(y)
 
 
 def conjugation_matrix(net: QuantumNet) -> np.ndarray:
@@ -66,7 +88,7 @@ def conjugation_matrix(net: QuantumNet) -> np.ndarray:
     F is real, satisfies F @ F = I, and is the same matrix for every net of
     a given size.
     """
-    return _sign_matrix(_word_signs(net.n_qubits, CONJ_SIGNS))
+    return _sign_matrix(_word_signs(net.n_qubits, "F"))
 
 
 def spinflip_matrix(net: QuantumNet) -> np.ndarray:
@@ -75,16 +97,16 @@ def spinflip_matrix(net: QuantumNet) -> np.ndarray:
     G is F with rows permuted by the phase-space translation whose operator
     is sigma_y^(xn) up to phase.
     """
-    return _sign_matrix(_word_signs(net.n_qubits, _FLIP_SIGNS))
+    return _sign_matrix(_word_signs(net.n_qubits, "G"))
 
 
 def conjugate_dwf(w: WignerFunction) -> WignerFunction:
     """F W: the DWF of conj(rho) on the same net, without building F."""
-    y = _word_signs(w.n, CONJ_SIGNS)
-    return WignerFunction(w.n, w.net_id, _sign_sandwich(w.w, y))
+    y = _word_signs(w.n, "F")
+    return WignerFunction._built(w.n, w.net_id, _sign_sandwich(w, y))
 
 
 def spinflip_dwf(w: WignerFunction) -> WignerFunction:
     """G W: the spin-flipped state's DWF on the same net, without building G."""
-    y = _word_signs(w.n, _FLIP_SIGNS)
-    return WignerFunction(w.n, w.net_id, _sign_sandwich(w.w, y))
+    y = _word_signs(w.n, "G")
+    return WignerFunction._built(w.n, w.net_id, _sign_sandwich(w, y))

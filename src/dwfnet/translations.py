@@ -70,7 +70,9 @@ def _pauli_words(n: int) -> np.ndarray:
     words = [np.array([[1.0 + 0.0j]])]
     for _ in range(n):
         words = [np.kron(w, s) for w in words for s in _SIGMA]
-    return np.array(words)
+    words = np.array(words)
+    words.flags.writeable = False  # shared by every caller through the cache
+    return words
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,13 @@ class XZTables:
     cells: np.ndarray
 
 
-@lru_cache(maxsize=8)
 def xz_tables(n: int) -> XZTables:
     """The read-only (x, z) layout tables for n qubits, built once per size."""
+    return _xz_tables(check_degree(n))
+
+
+@lru_cache(maxsize=8)
+def _xz_tables(n: int) -> XZTables:
     order = 2**n
     x, z = np.arange(order)[:, None], np.arange(order)[None, :]
     stokes = 0

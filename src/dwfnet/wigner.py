@@ -17,20 +17,33 @@ and a reduction map the signs c_k c_n of the kept words.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import NetMismatchError, ValidationError, check_int
 from .ffield import check_degree
 from .nets import QuantumNet, _signs_by_id, check_net_id, net_context
-from .translations import operator_from_grid, pauli_grid, xz_tables
+from .translations import _xz_tables, operator_from_grid, pauli_grid
 
 HERM_TOL = 1e-10
 PSD_TOL = -1e-9
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Each value type checks its array in `_settle`, the one set of checks for
+# the array a caller passes (copied first) and for an array the library has
+# just built (`_built`, not copied).  The net-independent Stokes grid of a
+# value is memoised read-only on first use, so a value met by several nets
+# or maps is transformed once.
 
 
 @dataclass(frozen=True)
@@ -41,30 +54,55 @@ class DensityState:
     rho: np.ndarray
 
     def __post_init__(self):
-        dim = 2 ** check_degree(self.n)
-        rho = np.array(self.rho, dtype=complex)
+        check_degree(self.n)
+        self._settle(np.array(self.rho, dtype=complex))
+
+    @classmethod
+    def _built(cls, n: int, rho: np.ndarray) -> DensityState:
+        """The state of a library-built rho for a checked n, without a copy."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        state._settle(rho)
+        return state
+
+    def _settle(self, rho: np.ndarray) -> None:
+        dim = 2**self.n
         if rho.shape != (dim, dim):
             raise ValidationError(f"rho must be {dim}x{dim} for n={self.n}")
-        if not np.isfinite(rho).all():
+        # a non-finite entry leaves the Hermitian residual non-finite, so
+        # only then are the entries themselves scanned
+        residual = np.abs(rho - rho.conj().T).max()
+        if not math.isfinite(residual) and not np.isfinite(rho).all():
             raise ValidationError('field "rho" has a non-finite entry')
-        if np.max(np.abs(rho - rho.conj().T)) > HERM_TOL:
+        if residual > HERM_TOL:
             raise ValidationError("rho is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-8:
-            raise ValidationError(f"rho has trace {float(np.trace(rho).real)}, not 1")
-        # rho - PSD_TOL I has a Cholesky factor when no eigenvalue of rho
-        # lies below PSD_TOL, so only a failure needs the eigenvalues
+        trace = rho.trace().real
+        if abs(trace - 1.0) > 1e-8:
+            raise ValidationError(f"rho has trace {float(trace)}, not 1")
+        # rho - PSD_TOL I has a finite Cholesky factor when no eigenvalue of
+        # rho lies below PSD_TOL, so only a failure needs the eigenvalues;
+        # a factor that overflowed to inf or NaN counts as a failure
+        shifted = rho.copy()
+        shifted.ravel()[:: dim + 1] -= PSD_TOL
         try:
-            np.linalg.cholesky(rho - PSD_TOL * np.eye(dim))
+            factored = cmath.isfinite(np.linalg.cholesky(shifted).sum())
         except np.linalg.LinAlgError:
+            factored = False
+        if not factored:
             smallest = float(np.linalg.eigvalsh(rho)[0])
             if smallest < PSD_TOL:
+                # level 4: the caller of the constructor or of `_built`'s caller
                 warnings.warn(
                     f"rho has negative eigenvalue {smallest:.3e}; transforms "
                     "remain well defined on Hermitian inputs",
-                    stacklevel=2,
+                    stacklevel=4,
                 )
-        rho.flags.writeable = False
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", _read_only(rho))
+
+    @cached_property
+    def _pauli(self) -> np.ndarray:
+        """Tr(rho Sigma) as the read-only grid [x, z] of `pauli_grid`."""
+        return _read_only(pauli_grid(self.rho, self.n))
 
 
 @dataclass(frozen=True)
@@ -76,8 +114,20 @@ class WignerFunction:
     w: np.ndarray
 
     def __post_init__(self):
-        size = 4 ** check_degree(self.n)
-        w = np.array(self.w, dtype=float)
+        check_degree(self.n)
+        self._settle(np.array(self.w, dtype=float))
+
+    @classmethod
+    def _built(cls, n: int, net_id: int, w: np.ndarray) -> WignerFunction:
+        """The DWF of a library-built vector for a checked n, without a copy."""
+        dwf = object.__new__(cls)
+        object.__setattr__(dwf, "n", n)
+        object.__setattr__(dwf, "net_id", net_id)
+        dwf._settle(w)
+        return dwf
+
+    def _settle(self, w: np.ndarray) -> None:
+        size = 4**self.n
         if w.shape != (size,):
             raise ValidationError(f"w must have length {size} for n={self.n}")
         total = w.sum()
@@ -86,8 +136,12 @@ class WignerFunction:
         if abs(total - 1.0) > 1e-8:
             raise ValidationError(f"Wigner function sums to {float(total)}, not 1")
         check_net_id(self.net_id, 2**self.n)
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _read_only(w))
+
+    @cached_property
+    def _stokes(self) -> np.ndarray:
+        """K W as the read-only grid [x, z] of `_to_stokes`."""
+        return _read_only(_to_stokes(self.w, self.n))
 
     @property
     def order(self) -> int:
@@ -98,7 +152,7 @@ class WignerFunction:
 def _layout(n: int) -> tuple:
     """WH, each point's flat [z, x] grid cell and the point at each cell."""
     grid = net_context(n).table.grid
-    return xz_tables(n).wh, grid, np.argsort(grid)
+    return _xz_tables(n).wh, grid, np.argsort(grid)
 
 
 def _from_stokes(s: np.ndarray, n: int) -> np.ndarray:
@@ -113,11 +167,10 @@ def _to_stokes(w: np.ndarray, n: int) -> np.ndarray:
     return wh @ w[points].reshape(wh.shape) @ wh
 
 
-def _sign_sandwich(w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """W' = K^T diag(y) K W / N^2 for a Wigner vector w and a +-1 Stokes
-    grid y[x, z]: the one way a Stokes-diagonal map is applied."""
-    n = len(y).bit_length() - 1
-    return _from_stokes(_to_stokes(w, n) * y, n)
+def _sign_sandwich(w: WignerFunction, y: np.ndarray) -> np.ndarray:
+    """W' = K^T diag(y) K W / N^2 for a DWF w and a +-1 Stokes grid y[x, z]:
+    the one way a Stokes-diagonal map is applied, on w's memoised K W."""
+    return _from_stokes(w._stokes * y, w.n)
 
 
 def _sign_matrix(y: np.ndarray, cells=None) -> np.ndarray:
@@ -138,10 +191,10 @@ def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
             f"state has n={state.n} but net is for n={net.n_qubits}"
         )
     c = _signs_by_id(state.n, net.net_id)
-    w = _from_stokes(pauli_grid(state.rho, state.n) * c, state.n)
+    w = _from_stokes(state._pauli * c, state.n)
     if np.max(np.abs(w.imag)) > HERM_TOL:
         raise ValidationError("Wigner values carry imaginary residue; input not Hermitian")
-    return WignerFunction(state.n, net.net_id, w.real)
+    return WignerFunction._built(state.n, net.net_id, w.real.copy())
 
 
 def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
@@ -151,8 +204,8 @@ def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
             f"Wigner function (n={w.n}, net {w.net_id}) does not match "
             f"net {net.net_id} (n={net.n_qubits})"
         )
-    s = _to_stokes(w.w, w.n) * _signs_by_id(w.n, w.net_id)
-    return DensityState(w.n, operator_from_grid(s, w.n))
+    s = w._stokes * _signs_by_id(w.n, w.net_id)
+    return DensityState._built(w.n, operator_from_grid(s, w.n))
 
 
 def line_probability(w: WignerFunction, line: np.ndarray) -> float:
@@ -175,11 +228,11 @@ def random_density(n: int, rng: np.random.Generator) -> DensityState:
     dim = 2 ** check_degree(n)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
-    return DensityState(n, rho / np.trace(rho).real)
+    return DensityState._built(n, rho / np.trace(rho).real)
 
 
 def random_pure(n: int, rng: np.random.Generator) -> DensityState:
     dim = 2 ** check_degree(n)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v = v / np.linalg.norm(v)
-    return DensityState(n, np.outer(v, v.conj()))
+    return DensityState._built(n, np.outer(v, v.conj()))

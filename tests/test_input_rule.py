@@ -23,6 +23,7 @@ from dwfnet import (
     random_pure,
 )
 from dwfnet.errors import FieldDomainError, UnsupportedDimensionError, ValidationError
+from dwfnet.translations import xz_tables
 
 F4 = GF2m(2)
 SPACE = PhaseSpace(F4)
@@ -140,3 +141,12 @@ def test_value_types_hold_read_only_copies():
     for held in (wf.w, state.rho, stokes.s):
         with pytest.raises(ValueError):
             held[0] = 0
+
+
+def test_layout_tables_check_their_size():
+    for bad in (True, 2.0):
+        with pytest.raises(ValidationError):
+            xz_tables(bad)
+    assert xz_tables(np.int64(2)) is xz_tables(2)
+    # cached words are shared by every caller, so none may write into them
+    assert not pauli_words(1).flags.writeable

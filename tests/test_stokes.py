@@ -13,9 +13,10 @@ from dwfnet import (
     random_density,
     spinflip_dwf,
     spinflip_matrix,
+    stokes_from_dwf,
     stokes_from_rho,
 )
-from dwfnet import translations
+from dwfnet import stokes, translations
 from dwfnet.nets import id_of
 from dwfnet.verify import dense_conjugation, dense_hadamard, dense_spinflip
 
@@ -172,3 +173,24 @@ def test_conjugation_and_spinflip_match_dense_definitions():
             net = build_net(ctx, net_id)
             assert np.array_equal(conjugation_matrix(net), dense_conjugation(net))
             assert np.array_equal(spinflip_matrix(net), dense_spinflip(net))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stokes_from_dwf_is_h_times_w(n):
+    rng = np.random.default_rng(60 + n)
+    order = 2**n
+    net = build_net(net_context(n), id_of([int(d) for d in rng.integers(0, order, order + 1)], order))
+    state = random_density(n, rng)
+    w = dwf_from_rho(state, net)
+    s = stokes_from_dwf(w)
+    assert s.n == n and not s.s.flags.writeable
+    assert np.max(np.abs(s.s - hadamard_matrix(net).h @ w.w)) < 1e-12
+    assert np.max(np.abs(s.s - stokes_from_rho(state).s)) < 1e-12
+
+
+def test_sign_grids_are_cached_read_only():
+    for n in range(1, 6):
+        for which in "FG":
+            y = stokes._word_signs(n, which)
+            assert y is stokes._word_signs(n, which) and not y.flags.writeable
+            assert y.shape == (2**n, 2**n) and set(np.unique(y)) == {-1, 1}

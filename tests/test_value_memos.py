@@ -1,0 +1,162 @@
+"""Each value computes its net-independent Stokes grid once and is checked
+the same way whether a caller or the library built it.
+
+`DensityState` memoises its Pauli grid and `WignerFunction` its K W, both
+read-only; every transform reading them must give, bit for bit, what the
+formula written directly with `pauli_grid`, `_to_stokes`, `_from_stokes`
+and `operator_from_grid` gives.
+"""
+
+import warnings
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from dwfnet import (
+    DensityState,
+    StokesVector,
+    WignerFunction,
+    build_net,
+    conjugate_dwf,
+    convert_net,
+    dwf_from_rho,
+    hadamard_matrix,
+    id_of,
+    net_context,
+    random_density,
+    random_pure,
+    rho_from_dwf,
+    spinflip_dwf,
+    stokes_from_dwf,
+    stokes_from_rho,
+    wigner,
+)
+from dwfnet.errors import ValidationError
+from dwfnet.translations import CONJ_SIGNS, operator_from_grid, pauli_grid, xz_tables
+from dwfnet.wigner import _from_stokes, _to_stokes
+
+
+def random_net(n, rng):
+    order = 2**n
+    return build_net(net_context(n), id_of([int(d) for d in rng.integers(0, order, order + 1)], order))
+
+
+def sign_grid(net):
+    """The net's sign vector c as a grid [x, z], read off H's first column."""
+    return hadamard_matrix(net).h[:, 0][xz_tables(net.n_qubits).stokes]
+
+
+def word_signs(n, single):
+    """The product of each word's per-qubit signs, as a grid [x, z]."""
+    digits = (xz_tables(n).stokes[..., None] >> 2 * np.arange(n)[::-1]) & 3
+    return np.prod(np.asarray(single)[digits], axis=-1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_transforms_equal_the_direct_formulas(n):
+    rng = np.random.default_rng(400 + n)
+    net, other = random_net(n, rng), random_net(n, rng)
+    c, c_other = sign_grid(net), sign_grid(other)
+    for state in (random_pure(n, rng), random_density(n, rng)):
+        vals = pauli_grid(state.rho, n).ravel()[xz_tables(n).cells]
+        assert same_bits(stokes_from_rho(state).s, vals.real)
+        w = dwf_from_rho(state, net)
+        assert same_bits(w.w, _from_stokes(pauli_grid(state.rho, n) * c, n).real)
+        ks = _to_stokes(w.w, n)
+        assert same_bits(rho_from_dwf(w, net).rho, operator_from_grid(ks * c, n))
+        assert same_bits(convert_net(w, other).w, _from_stokes(ks * (c * c_other), n))
+        assert same_bits(conjugate_dwf(w).w, _from_stokes(ks * word_signs(n, CONJ_SIGNS), n))
+        assert same_bits(spinflip_dwf(w).w, _from_stokes(ks * word_signs(n, [1, -1, -1, -1]), n))
+
+
+def test_memos_are_read_only_and_computed_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(wigner, "pauli_grid", counted("pauli_grid", wigner.pauli_grid))
+    monkeypatch.setattr(wigner, "_to_stokes", counted("_to_stokes", wigner._to_stokes))
+    rng = np.random.default_rng(11)
+    nets = [random_net(3, rng) for _ in range(3)]
+    state = random_density(3, rng)
+    stokes_from_rho(state)
+    dwfs = [dwf_from_rho(state, net) for net in nets]
+    assert calls == {"pauli_grid": 1}
+    assert state._pauli is state._pauli and not state._pauli.flags.writeable
+    w = dwfs[0]
+    rho_from_dwf(w, nets[0])
+    convert_net(w, nets[1])
+    conjugate_dwf(w)
+    spinflip_dwf(w)
+    stokes_from_dwf(w)
+    assert calls == {"pauli_grid": 1, "_to_stokes": 1}
+    assert w._stokes is w._stokes and not w._stokes.flags.writeable
+
+
+def test_library_built_values_are_read_only():
+    rng = np.random.default_rng(12)
+    net, other = random_net(2, rng), random_net(2, rng)
+    state = random_pure(2, rng)
+    w = dwf_from_rho(state, net)
+    built = [state.rho, w.w, rho_from_dwf(w, net).rho, convert_net(w, other).w,
+             conjugate_dwf(w).w, spinflip_dwf(w).w, stokes_from_rho(state).s,
+             stokes_from_dwf(w).s]
+    assert not any(a.flags.writeable for a in built)
+
+
+def test_library_built_values_are_checked():
+    # `_built` skips only the copy: every check of the public constructor runs
+    with pytest.raises(ValidationError, match="Wigner function sums to 2.0, not 1"):
+        WignerFunction._built(1, 0, np.full(4, 0.5))
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        WignerFunction._built(1, 0, np.array([np.nan, 0.5, 0.25, 0.25]))
+    with pytest.raises(ValidationError, match=r"out of range \[0, 1024\)"):
+        WignerFunction._built(2, 1024, np.full(16, 1 / 16))
+    with pytest.raises(ValidationError, match="w must have length 4"):
+        WignerFunction._built(1, 0, np.ones(1))
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityState._built(1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))
+    with pytest.raises(ValidationError, match="rho has trace 2.0, not 1"):
+        DensityState._built(1, np.eye(2, dtype=complex))
+    with pytest.raises(ValidationError, match="non-finite entry"):
+        DensityState._built(1, np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    with pytest.raises(ValidationError, match="rho must be 2x2"):
+        DensityState._built(1, np.eye(4, dtype=complex) / 4)
+    with pytest.raises(ValidationError, match="s must have length 4"):
+        StokesVector._built(1, np.ones(16))
+
+
+def test_non_psd_dwf_still_warns():
+    net = build_net(net_context(1), 0)
+    w = WignerFunction(1, 0, np.array([0.75, 0.75, -0.25, -0.25]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rho_from_dwf(w, net)
+        DensityState(1, np.diag([1.5, -0.5]))
+    messages = [str(c.message) for c in caught]
+    assert len(messages) == 2 and all("negative eigenvalue -5.000e-01" in m for m in messages)
+    # both point at the line that called the library
+    assert {c.filename for c in caught} == {__file__}
+
+
+def test_overflowing_cholesky_factor_still_warns():
+    # rho is finite, Hermitian and of unit trace with eigenvalues +-1.41e300;
+    # its Cholesky factor overflows to NaN instead of failing
+    net = build_net(net_context(1), 0)
+    w = WignerFunction(1, 0, np.array([1e300, -1e300, 1.0, 0.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rho = rho_from_dwf(w, net).rho
+    assert np.isfinite(rho).all()
+    assert any("negative eigenvalue -1.414e+300" in str(c.message) for c in caught)
