@@ -5,8 +5,8 @@ keep only the Pauli words acting as identity on the traced qubits
 (selection matrix T_k), then map back with the target net's inverse
 Hadamard: P = H_k^{-1} T_k H_n.  Applying P to the Wigner vector of any
 state gives the Wigner vector (in the target net) of the partial trace.
-P is diagonal in Stokes space, with signs c_k c_n on the kept words: stored
-for k < n, and never built for net conversion (k = n).
+P is diagonal in Stokes space with signs c_k c_n on the kept words, which is
+all a map stores: no reduction matrix is kept, P is built on access for oracles.
 
 The marginal-sum and sign-kernel shortcuts for product-structured two-qubit
 nets are provided as an independent cross-check path, together with a
@@ -31,13 +31,7 @@ from .errors import (
 from .ffield import check_degree
 from .nets import QuantumNet, _signs_by_id, bytes_lru, detect_product_structure
 from .translations import _xz_tables
-from .wigner import (
-    WignerFunction,
-    _layout,
-    _sign_matrix,
-    _sign_sandwich,
-    purity_from_dwf,
-)
+from .wigner import WignerFunction, _layout, _sign_matrix, _sign_sandwich, purity_from_dwf
 
 
 @dataclass(frozen=True)
@@ -60,17 +54,15 @@ class KeepSet:
 
 
 @lru_cache(maxsize=64)
-def _kept_cells(n: int, keep: tuple) -> tuple:
-    """Read-only index tables of a keep set: `words[x', z']`, the n-qubit
-    (x, z) cell of the kept word with k-qubit masks (x', z'), and
-    `points[alpha]`, the k-qubit [z, x] grid cell of point alpha's kept bits."""
+def _kept_cells(n: int, keep: tuple) -> np.ndarray:
+    """The read-only table `words[x', z']` of a keep set: the flat n-qubit
+    (x, z) cell of the kept word with k-qubit masks (x', z')."""
     k = len(keep)
     bits = (np.arange(2**k)[:, None] >> np.arange(k)[::-1]) & 1
     spread = bits @ (1 << (n - 1 - np.array(keep)))
     words = spread[:, None] * 2**n + spread  # ascending, as `spread` is
-    points = np.searchsorted(words.ravel(), _layout(n)[1] & words[-1, -1])
-    words.flags.writeable = points.flags.writeable = False
-    return words, points
+    words.flags.writeable = False
+    return words
 
 
 def selection_matrix(keep: KeepSet) -> np.ndarray:
@@ -79,28 +71,36 @@ def selection_matrix(keep: KeepSet) -> np.ndarray:
     Row r (a k-qubit Pauli index) selects the n-qubit Pauli index whose
     digits equal r's digits on kept positions and 0 on traced positions.
     """
-    cells = _kept_cells(keep.n, keep.keep)[0].ravel()[_xz_tables(keep.k).cells]
+    cells = _kept_cells(keep.n, keep.keep).ravel()[_xz_tables(keep.k).cells]
     return np.eye(4**keep.n, dtype=np.int64)[_xz_tables(keep.n).stokes.ravel()[cells]]
 
 
 @dataclass(frozen=True)
 class ReductionMap:
-    """Precomputed 4^k x 4^n matrix taking composite DWFs to subsystem DWFs."""
+    """A reduction as the kept words' n-qubit cells `words` and their signs
+    y = c_k c_n[words], 4^k each; no matrix is stored, `p` builds P on access."""
 
     keep: KeepSet
     source_net: int
     target_net: int
-    p: np.ndarray
+    words: np.ndarray
+    y: np.ndarray
+
+    @property
+    def p(self) -> np.ndarray:
+        """The dense 4^k x 4^n P for oracles, built on each access, never stored;
+        column alpha sits at the k-qubit [z, x] cell of point alpha's kept bits."""
+        words = self.words.ravel()
+        return _sign_matrix(self.y, np.searchsorted(words, _layout(self.keep.n)[1] & words[-1]))
 
 
-@bytes_lru(lambda rmap: rmap.p.nbytes)
+@bytes_lru(lambda rmap: rmap.y.nbytes)  # `words` is shared through `_kept_cells`
 def _reduction_map_cached(n: int, keep: tuple, source_net: int, target_net: int):
     ks = KeepSet(n, keep)
-    words, points = _kept_cells(n, ks.keep)
+    words = _kept_cells(n, ks.keep)
     y = _signs_by_id(ks.k, target_net) * _signs_by_id(n, source_net).ravel()[words]
-    p = _sign_matrix(y, points)
-    p.flags.writeable = False  # shared by every caller through the cache
-    return ReductionMap(ks, source_net, target_net, p)
+    y.flags.writeable = False  # shared by every caller through the cache
+    return ReductionMap(ks, source_net, target_net, words, y)
 
 
 def reduction_map(
@@ -121,13 +121,14 @@ def reduction_map(
 
 
 def reduce_dwf(w: WignerFunction, rmap: ReductionMap) -> WignerFunction:
-    """Apply a reduction map: w' = P w, tagged with the target net."""
+    """Apply a reduction map: w' = P w without P, tagged with the target net."""
     if w.n != rmap.keep.n or w.net_id != rmap.source_net:
         raise NetMismatchError(
             f"Wigner function (n={w.n}, net {w.net_id}) does not match reduction "
             f"map source (n={rmap.keep.n}, net {rmap.source_net})"
         )
-    return WignerFunction._built(rmap.keep.k, rmap.target_net, rmap.p @ w.w)
+    w_k = _sign_sandwich(w, rmap.y, rmap.words)
+    return WignerFunction._built(rmap.keep.k, rmap.target_net, w_k)
 
 
 def convert_net(w: WignerFunction, target_net: QuantumNet) -> WignerFunction:

@@ -8,17 +8,18 @@ this convention H has pure +-1 entries, H^{-1} = H^T / N^2, and the
 subsystem selection matrices of the reduction engine are plain 0/1
 matrices.  A 1/2^n rescaling recovers the normalized convention.
 
-`stokes_from_rho` is `translations.pauli_coefficients` and `stokes_from_dwf`
-is S = H W = c * (K W), both read from the value's memoised Stokes grid; H =
-diag(c) K lives in `nets` (re-exported here).  F and G are K^T diag(y) K /
-N^2 with y the sign each word picks up under complex conjugation (F) or the
-spin flip (G), the same for every net and cached per size: `conjugate_dwf`
-and `spinflip_dwf` apply them through `wigner._sign_sandwich`, the `_matrix`
-functions build them.
+`stokes_from_rho` is `translations.pauli_grid` in Stokes order and
+`stokes_from_dwf` is S = H W = c * (K W), both read from the value's
+memoised Stokes grid; H = diag(c) K lives in `nets` (re-exported here).
+F and G are K^T diag(y) K / N^2 with y the sign each word picks up under
+complex conjugation (F) or the spin flip (G), the same for every net and
+cached per size: `conjugate_dwf` and `spinflip_dwf` apply them through
+`wigner._sign_sandwich`, the `_matrix` functions build them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -57,6 +58,8 @@ class StokesVector:
         size = 4**self.n
         if s.shape != (size,):
             raise ValidationError(f"s must have length {size} for n={self.n}")
+        if not math.isfinite(s.sum()) and not np.isfinite(s).all():
+            raise ValidationError('field "s" has a non-finite entry')
         object.__setattr__(self, "s", _read_only(s))
 
 
@@ -102,11 +105,9 @@ def spinflip_matrix(net: QuantumNet) -> np.ndarray:
 
 def conjugate_dwf(w: WignerFunction) -> WignerFunction:
     """F W: the DWF of conj(rho) on the same net, without building F."""
-    y = _word_signs(w.n, "F")
-    return WignerFunction._built(w.n, w.net_id, _sign_sandwich(w, y))
+    return WignerFunction._built(w.n, w.net_id, _sign_sandwich(w, _word_signs(w.n, "F")))
 
 
 def spinflip_dwf(w: WignerFunction) -> WignerFunction:
     """G W: the spin-flipped state's DWF on the same net, without building G."""
-    y = _word_signs(w.n, "G")
-    return WignerFunction._built(w.n, w.net_id, _sign_sandwich(w, y))
+    return WignerFunction._built(w.n, w.net_id, _sign_sandwich(w, _word_signs(w.n, "G")))

@@ -10,7 +10,7 @@ i^{|x & z|} X^x Z^z, whose Stokes index is `stokes[x, z]`.  There
 Tr(rho X^x Z^z) = sum_a rho[a, a ^ x] (-1)^{|a & z|}, so `pauli_grid` is
 one gather and one N x N product with the +-1 Walsh-Hadamard matrix
 WH[a, z] = (-1)^{|a & z|}, and `operator_from_grid` is one product and
-one gather back.  `pauli_coefficients` is `pauli_grid` in Stokes order.
+one gather back.  A grid read at `cells` is in Stokes order.
 
 The operator attached to the shift (q, p) is the Pauli word
 X^{q_1} Z^{p_1} (x) ... (x) X^{q_n} Z^{p_n}, with q expanded in the
@@ -136,11 +136,6 @@ def operator_from_grid(s: np.ndarray, n: int) -> np.ndarray:
     `pauli_grid`: M = (phase * s) @ wh / 2^n holds rho[a ^ x, a] at [x, a]."""
     t = xz_tables(n)
     return ((t.phase * s) @ t.wh).ravel()[t.scatter] / 2**n
-
-
-def pauli_coefficients(rho: np.ndarray, n: int) -> np.ndarray:
-    """s_j = Tr(rho Sigma_j) for all 4^n Pauli words, in Stokes order."""
-    return pauli_grid(rho, n).ravel()[xz_tables(n).cells]
 
 
 class TranslationTable:

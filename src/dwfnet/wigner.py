@@ -12,7 +12,7 @@ point alpha at [z_alpha, x_alpha] of an N x N grid: K W = WH W_grid WH
 other map of the package is diagonal in Stokes space: for a +-1 grid y,
 W' = K^T diag(y) K W / N^2 (`_sign_sandwich`).  y = c c' converts between
 nets, F and G take each word's sign under conjugation or the spin flip,
-and a reduction map the signs c_k c_n of the kept words.
+and a reduction map gathers the kept words and takes their signs c_k c_n.
 """
 
 from __future__ import annotations
@@ -167,10 +167,11 @@ def _to_stokes(w: np.ndarray, n: int) -> np.ndarray:
     return wh @ w[points].reshape(wh.shape) @ wh
 
 
-def _sign_sandwich(w: WignerFunction, y: np.ndarray) -> np.ndarray:
-    """W' = K^T diag(y) K W / N^2 for a DWF w and a +-1 Stokes grid y[x, z]:
-    the one way a Stokes-diagonal map is applied, on w's memoised K W."""
-    return _from_stokes(w._stokes * y, w.n)
+def _sign_sandwich(w: WignerFunction, y: np.ndarray, words=None) -> np.ndarray:
+    """The one Stokes-diagonal map, on w's memoised K W: W' = K_k^T diag(y) (K W)[words]
+    / 4^k for a +-1 k-qubit grid y[x, z] and the kept words' n-qubit cells (default all)."""
+    s = w._stokes if words is None else w._stokes.ravel()[words]
+    return _from_stokes(s * y, len(y).bit_length() - 1)
 
 
 def _sign_matrix(y: np.ndarray, cells=None) -> np.ndarray:

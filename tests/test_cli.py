@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwfnet import DensityState, build_net, dwf_from_rho, jsonio, net_context
+from dwfnet import DensityState, build_net, dwf_from_rho, jsonio, net_context, random_density
 from dwfnet.cli import main
 
 
@@ -122,6 +122,23 @@ def test_convert_and_back(capsys, monkeypatch):
     assert code == 0
     orig = json.loads(doc)["w"]
     assert np.allclose(json.loads(out2)["w"], orig, atol=1e-12)
+
+
+def test_reduce_keeping_every_qubit_is_convert(capsys, monkeypatch):
+    # a keep-all reduction is net conversion, byte for byte
+    rng = np.random.default_rng(83)
+    for n in [1, 2, 3]:
+        order = 2**n
+        for _ in range(8):
+            net_in, net_out = (int(i) for i in rng.integers(0, order ** (order + 1), 2))
+            w = dwf_from_rho(random_density(n, rng), build_net(net_context(n), net_in))
+            doc = jsonio.dumps(jsonio.dwf_to_doc(w))
+            keep = ",".join(str(q) for q in range(n))
+            argv = ["reduce", "--keep", keep, "--net-out", str(net_out)]
+            code, reduced, _ = run(capsys, argv, doc, monkeypatch)
+            assert code == 0
+            code, converted, _ = run(capsys, ["convert", "--net-out", str(net_out)], doc, monkeypatch)
+            assert code == 0 and reduced == converted
 
 
 def test_spinflip_bell_invariant(capsys, monkeypatch):

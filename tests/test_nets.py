@@ -422,6 +422,7 @@ def test_byte_bounded_cache_evicts_oldest_first(monkeypatch):
         hadamard_matrix(target)  # refreshed each round, never the oldest
         reduction_map(net, target, KeepSet(3, (0,)))
         assert sum(hm.h.nbytes for hm in hadamards.values()) <= budget
-        assert sum(rm.p.nbytes for rm in maps.values()) <= budget
+        # a map stores its sign grid y; the dense P is built on access only
+        assert sum(rm.y.nbytes for rm in maps.values()) <= budget
     # the newest two stay; the n = 1 target's H holds the rest of the budget
     assert [(3, i) in hadamards for i in fresh] == [False] * 4 + [True] * 2

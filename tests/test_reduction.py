@@ -109,6 +109,23 @@ def test_reduction_map_is_the_paper_formula():
     assert np.array_equal(reduction_map(src, tgt, keep).p, formula)
 
 
+def test_reduction_applies_p_without_storing_it():
+    # reduce_dwf equals the dense P for every keep set at n <= 4 and one
+    # n = 5, k = 4 pair, and the map stores nothing larger than 4^k
+    rng = np.random.default_rng(53)
+    cases = [
+        (n, kept) for n in [1, 2, 3, 4] for k in range(1, n + 1) for kept in combinations(range(n), k)
+    ]
+    for n, kept in cases + [(5, (0, 2, 3, 4))]:
+        src, tgt, keep = seeded_net(n, rng), seeded_net(len(kept), rng), KeepSet(n, kept)
+        w = dwf_from_rho(random_density(n, rng), src)
+        rmap = reduction_map(src, tgt, keep)
+        assert np.max(np.abs(reduce_dwf(w, rmap).w - rmap.p @ w.w)) < 1e-12
+        stored = [a for a in vars(rmap).values() if isinstance(a, np.ndarray)]
+        assert len(stored) == 2 and max(a.size for a in stored) <= 4**keep.k
+        assert not any(a.flags.writeable for a in stored)
+
+
 def test_reduce_bell_state_is_uniform():
     w = dwf(bell_rho(), 2, 7)
     rmap = reduction_map(

@@ -3,6 +3,7 @@ import pytest
 
 from dwfnet import (
     DensityState,
+    StokesVector,
     build_net,
     conjugate_dwf,
     conjugation_matrix,
@@ -17,6 +18,7 @@ from dwfnet import (
     stokes_from_rho,
 )
 from dwfnet import stokes, translations
+from dwfnet.errors import ValidationError
 from dwfnet.nets import id_of
 from dwfnet.verify import dense_conjugation, dense_hadamard, dense_spinflip
 
@@ -194,3 +196,15 @@ def test_sign_grids_are_cached_read_only():
             y = stokes._word_signs(n, which)
             assert y is stokes._word_signs(n, which) and not y.flags.writeable
             assert y.shape == (2**n, 2**n) and set(np.unique(y)) == {-1, 1}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stokes_vector_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match='field "s" has a non-finite entry'):
+        StokesVector(1, [1.0, bad, 0.0, 0.0])
+    with pytest.raises(ValidationError, match='field "s" has a non-finite entry'):
+        StokesVector._built(1, np.array([bad, 0.0, 0.0, 0.0]))
+    # finite entries whose sum overflows are still accepted (the screening
+    # sum overflows, and numpy's own warning says so)
+    with np.errstate(over="ignore"):
+        assert StokesVector(1, [1e308, 1e308, 0.0, 0.0]).s[0] == 1e308

@@ -15,6 +15,7 @@ import pytest
 
 from dwfnet import (
     DensityState,
+    KeepSet,
     StokesVector,
     WignerFunction,
     build_net,
@@ -26,6 +27,8 @@ from dwfnet import (
     net_context,
     random_density,
     random_pure,
+    reduce_dwf,
+    reduction_map,
     rho_from_dwf,
     spinflip_dwf,
     stokes_from_dwf,
@@ -33,6 +36,7 @@ from dwfnet import (
     wigner,
 )
 from dwfnet.errors import ValidationError
+from dwfnet.reduction import _kept_cells
 from dwfnet.translations import CONJ_SIGNS, operator_from_grid, pauli_grid, xz_tables
 from dwfnet.wigner import _from_stokes, _to_stokes
 
@@ -63,6 +67,11 @@ def test_transforms_equal_the_direct_formulas(n):
     rng = np.random.default_rng(400 + n)
     net, other = random_net(n, rng), random_net(n, rng)
     c, c_other = sign_grid(net), sign_grid(other)
+    keep = KeepSet(n, tuple(range(0, n, 2)))
+    target = random_net(keep.k, np.random.default_rng(500 + n))
+    rmap = reduction_map(net, target, keep)
+    words = _kept_cells(n, keep.keep)
+    y = sign_grid(target) * c.ravel()[words]
     for state in (random_pure(n, rng), random_density(n, rng)):
         vals = pauli_grid(state.rho, n).ravel()[xz_tables(n).cells]
         assert same_bits(stokes_from_rho(state).s, vals.real)
@@ -73,6 +82,7 @@ def test_transforms_equal_the_direct_formulas(n):
         assert same_bits(convert_net(w, other).w, _from_stokes(ks * (c * c_other), n))
         assert same_bits(conjugate_dwf(w).w, _from_stokes(ks * word_signs(n, CONJ_SIGNS), n))
         assert same_bits(spinflip_dwf(w).w, _from_stokes(ks * word_signs(n, [1, -1, -1, -1]), n))
+        assert same_bits(reduce_dwf(w, rmap).w, _from_stokes(ks.ravel()[words] * y, keep.k))
 
 
 def test_memos_are_read_only_and_computed_once(monkeypatch):
@@ -90,6 +100,7 @@ def test_memos_are_read_only_and_computed_once(monkeypatch):
     rng = np.random.default_rng(11)
     nets = [random_net(3, rng) for _ in range(3)]
     state = random_density(3, rng)
+    rmap = reduction_map(nets[0], random_net(2, rng), KeepSet(3, (0, 2)))
     stokes_from_rho(state)
     dwfs = [dwf_from_rho(state, net) for net in nets]
     assert calls == {"pauli_grid": 1}
@@ -100,6 +111,8 @@ def test_memos_are_read_only_and_computed_once(monkeypatch):
     conjugate_dwf(w)
     spinflip_dwf(w)
     stokes_from_dwf(w)
+    reduce_dwf(w, rmap)
+    reduce_dwf(w, rmap)
     assert calls == {"pauli_grid": 1, "_to_stokes": 1}
     assert w._stokes is w._stokes and not w._stokes.flags.writeable
 

@@ -18,7 +18,7 @@ from dwfnet import (
     stokes_from_rho,
 )
 from dwfnet.errors import NetMismatchError, ValidationError
-from dwfnet.translations import operator_from_grid, pauli_coefficients, pauli_grid
+from dwfnet.translations import operator_from_grid, pauli_grid
 from dwfnet.verify import dense_dwf, dense_rho, dense_stokes
 
 
@@ -216,10 +216,10 @@ def test_pauli_transform_round_trip():
     for m in [1, 2, 3, 4, 5]:
         dim = 2**m
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        s = pauli_coefficients(a, m)
-        assert s.shape == (dim * dim,)
-        assert s[0] == pytest.approx(np.trace(a))
-        assert np.max(np.abs(operator_from_grid(pauli_grid(a, m), m) - a)) < 1e-12
+        s = pauli_grid(a, m)
+        assert s.shape == (dim, dim)
+        assert s[0, 0] == pytest.approx(np.trace(a))
+        assert np.max(np.abs(operator_from_grid(s, m) - a)) < 1e-12
 
 
 def test_imaginary_residue_rejected():
