@@ -91,10 +91,25 @@ class ReductionMap:
         """The dense 4^k x 4^n P for oracles, built on each access, never stored;
         column alpha sits at the k-qubit [z, x] cell of point alpha's kept bits."""
         words = self.words.ravel()
-        return _sign_matrix(self.y, np.searchsorted(words, _layout(self.keep.n)[1] & words[-1]))
+        return _sign_matrix(self.y, np.searchsorted(words, _layout(self.keep.n)[2] & words[-1]))
 
 
-@bytes_lru(lambda rmap: rmap.y.nbytes)  # `words` is shared through `_kept_cells`
+# What one cached map holds besides y's data: the ReductionMap and KeepSet
+# objects, y's array header, the key tuple and the OrderedDict node.  Over
+# 2,000 cold n = 3 -> 2 maps, tracemalloc (CPython 3.11, numpy 2.4) counts
+# 700 B per map, 128 B of it y's data, in a cache that never evicts, and
+# 1,010 B in one that evicts under a 64 KiB budget, its table resizing as it
+# churns; a k = 2 map is charged the larger figure, rounded to 1 KiB.
+_MAP_ENTRY_BYTES = 896
+
+
+def _map_bytes(rmap: ReductionMap) -> int:
+    """A cached map's charge against CACHE_BYTES; `words` is shared through
+    `_kept_cells` and the nets' signs are charged in `_signs_by_id`."""
+    return rmap.y.nbytes + _MAP_ENTRY_BYTES
+
+
+@bytes_lru(_map_bytes)
 def _reduction_map_cached(n: int, keep: tuple, source_net: int, target_net: int):
     ks = KeepSet(n, keep)
     words = _kept_cells(n, ks.keep)

@@ -19,7 +19,6 @@ cached per size: `conjugate_dwf` and `spinflip_dwf` apply them through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -58,7 +57,9 @@ class StokesVector:
         size = 4**self.n
         if s.shape != (size,):
             raise ValidationError(f"s must have length {size} for n={self.n}")
-        if not math.isfinite(s.sum()) and not np.isfinite(s).all():
+        # no sum rule to borrow, so the entries are screened themselves: a
+        # finite vector whose sum overflows is still a valid Stokes vector
+        if not np.isfinite(s).all():
             raise ValidationError('field "s" has a non-finite entry')
         object.__setattr__(self, "s", _read_only(s))
 

@@ -9,8 +9,9 @@ The transforms never build them.  They work in the (x, z) mask layout of
 i^{|x & z|} X^x Z^z, whose Stokes index is `stokes[x, z]`.  There
 Tr(rho X^x Z^z) = sum_a rho[a, a ^ x] (-1)^{|a & z|}, so `pauli_grid` is
 one gather and one N x N product with the +-1 Walsh-Hadamard matrix
-WH[a, z] = (-1)^{|a & z|}, and `operator_from_grid` is one product and
-one gather back.  A grid read at `cells` is in Stokes order.
+WH[a, z] = (-1)^{|a & z|}, and `operator_from_grid` is one gather back
+after two real products with the pre-scaled WH / N, one for each of the
+real and imaginary planes of rho.  A grid read at `cells` is in Stokes order.
 
 The operator attached to the shift (q, p) is the Pauli word
 X^{q_1} Z^{p_1} (x) ... (x) X^{q_n} Z^{p_n}, with q expanded in the
@@ -83,16 +84,21 @@ class XZTables:
     i^{|x & z|} X^x Z^z = Sigma_{stokes[x, z]} (qubit 0 the most
     significant bit of each mask), and `cells[j]` is the flat [x, z] cell
     of Stokes index j.  `wh[a, z]` = (-1)^{|a & z|} is the +-1
-    Walsh-Hadamard matrix, `phase[x, z]` = i^{|x & z|}, and `gather[x, a]`
+    Walsh-Hadamard matrix and `half` = wh / 2^n, exact, so a product with
+    it carries the transforms' normalisation without a division pass.
+    `phase[x, z]` = i^{|x & z|}, with its real and imaginary parts as the
+    float arrays `planes[0]` and `planes[1]`, and `gather[x, a]`
     and `scatter[b, a]` are flat indices into an N x N array: rho[a, a ^ x]
     sits at `gather[x, a]` of rho, and rho[b, a] at `scatter[b, a]` of the
     array M with M[x, a] = rho[a ^ x, a].
     """
 
     wh: np.ndarray
+    half: np.ndarray
     gather: np.ndarray
     scatter: np.ndarray
     phase: np.ndarray
+    planes: np.ndarray
     stokes: np.ndarray
     cells: np.ndarray
 
@@ -110,12 +116,16 @@ def _xz_tables(n: int) -> XZTables:
     for bit in range(n - 1, -1, -1):  # qubit 0 first
         label = 2 * ((x >> bit) & 1) + ((z >> bit) & 1)
         stokes = 4 * stokes + _STOKES_DIGIT[label]
+    wh = np.where(_ODD[x & z], -1.0, 1.0)
+    phase = _I_POWERS[_WEIGHT[x & z] % 4]
     # the same row and column ranges index the (x, a) and (b, a) grids
     tables = XZTables(
-        wh=np.where(_ODD[x & z], -1.0, 1.0),
+        wh=wh,
+        half=wh / order,
         gather=z * order + (z ^ x),
         scatter=(z ^ x) * order + z,
-        phase=_I_POWERS[_WEIGHT[x & z] % 4],
+        phase=phase,
+        planes=np.stack([phase.real, phase.imag]),
         stokes=stokes,
         cells=np.argsort(stokes, axis=None),
     )
@@ -133,9 +143,19 @@ def pauli_grid(rho: np.ndarray, n: int) -> np.ndarray:
 
 def operator_from_grid(s: np.ndarray, n: int) -> np.ndarray:
     """sum_{x, z} s[x, z] Sigma_{stokes[x, z]} / 2^n, the inverse of
-    `pauli_grid`: M = (phase * s) @ wh / 2^n holds rho[a ^ x, a] at [x, a]."""
+    `pauli_grid`: M = (phase * s) @ wh / 2^n holds rho[a ^ x, a] at [x, a].
+
+    A real grid takes two real products, one per plane of M, each with
+    wh / 2^n; a complex grid goes by linearity in its real and imaginary
+    parts."""
+    if np.iscomplexobj(s):
+        return operator_from_grid(s.real, n) + 1j * operator_from_grid(s.imag, n)
     t = xz_tables(n)
-    return ((t.phase * s) @ t.wh).ravel()[t.scatter] / 2**n
+    re, im = t.planes
+    m = np.empty(s.shape, dtype=complex)
+    m.real = (re * s) @ t.half
+    m.imag = (im * s) @ t.half
+    return m.ravel()[t.scatter]
 
 
 class TranslationTable:

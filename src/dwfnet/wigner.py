@@ -8,11 +8,18 @@ positivity violations only warn.
 Both run through Stokes space in the (x, z) mask layout of
 `translations.xz_tables` on the net's sign vector c, H = diag(c) K, with
 point alpha at [z_alpha, x_alpha] of an N x N grid: K W = WH W_grid WH
-(`_to_stokes`) and K^T S / N^2 = WH S WH / N^2 (`_from_stokes`).  Every
+(`_to_stokes`) and K^T S / N^2 = (WH / N) S (WH / N) (`_from_stokes`).  Every
 other map of the package is diagonal in Stokes space: for a +-1 grid y,
 W' = K^T diag(y) K W / N^2 (`_sign_sandwich`).  y = c c' converts between
 nets, F and G take each word's sign under conjugation or the spin flip,
 and a reduction map gathers the kept words and takes their signs c_k c_n.
+
+Every kernel is real float64: the +-1 WH is never cast to complex, and the
+1 / N^2 rides exactly in the cached WH / N, so no kernel ends with a
+division.  Complex numbers appear only at the rho boundary: `dwf_from_rho`
+transforms the real part of the state's Pauli grid (the imaginary part only
+when the state's bound on it reaches the tolerance), and `rho_from_dwf`
+fills the two planes of rho from two real products.
 """
 
 from __future__ import annotations
@@ -104,6 +111,11 @@ class DensityState:
         """Tr(rho Sigma) as the read-only grid [x, z] of `pauli_grid`."""
         return _read_only(pauli_grid(self.rho, self.n))
 
+    @cached_property
+    def _imag_bound(self) -> float:
+        """sum |Im P| / 4^n, a bound on |Im W| on every net."""
+        return float(np.abs(self._pauli.imag).sum()) / 4**self.n
+
 
 @dataclass(frozen=True)
 class WignerFunction:
@@ -150,20 +162,21 @@ class WignerFunction:
 
 @lru_cache(maxsize=8)
 def _layout(n: int) -> tuple:
-    """WH, each point's flat [z, x] grid cell and the point at each cell."""
-    grid = net_context(n).table.grid
-    return _xz_tables(n).wh, grid, np.argsort(grid)
+    """WH, WH / 2^n, each point's flat [z, x] grid cell and the point at each cell."""
+    t, grid = _xz_tables(n), net_context(n).table.grid
+    return t.wh, t.half, grid, np.argsort(grid)
 
 
 def _from_stokes(s: np.ndarray, n: int) -> np.ndarray:
-    """K^T S / N^2 = (WH s WH)[z_alpha, x_alpha] / N^2 for the grid s[x, z]."""
-    wh, grid, _ = _layout(n)
-    return (wh @ s @ wh).ravel()[grid] / 4**n
+    """K^T S / N^2 = (WH s WH)[z_alpha, x_alpha] / N^2 for the grid s[x, z],
+    with the 1 / N^2 carried exactly by the pre-scaled WH / N on each side."""
+    _, half, grid, _ = _layout(n)
+    return (half @ s @ half).ravel()[grid]
 
 
 def _to_stokes(w: np.ndarray, n: int) -> np.ndarray:
     """K W = WH W_grid WH, W_grid[z_alpha, x_alpha] = w_alpha, as a grid [x, z]."""
-    wh, _, points = _layout(n)
+    wh, _, _, points = _layout(n)
     return wh @ w[points].reshape(wh.shape) @ wh
 
 
@@ -180,8 +193,8 @@ def _sign_matrix(y: np.ndarray, cells=None) -> np.ndarray:
     K's columns are characters of the XOR group of (x, z) masks, so
     D[beta, alpha] = D[beta ^ alpha, 0] = (K^T y)[beta ^ alpha] / N^2."""
     n = len(y).bit_length() - 1
-    wh, grid, _ = _layout(n)
-    column = (wh @ y @ wh).ravel() / 4**n  # `_from_stokes(y)` on the grid
+    _, half, grid, _ = _layout(n)
+    column = (half @ y @ half).ravel()  # `_from_stokes(y)` on the grid
     return column[grid[:, None] ^ (grid if cells is None else cells)]
 
 
@@ -192,10 +205,14 @@ def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
             f"state has n={state.n} but net is for n={net.n_qubits}"
         )
     c = _signs_by_id(state.n, net.net_id)
-    w = _from_stokes(state._pauli * c, state.n)
-    if np.max(np.abs(w.imag)) > HERM_TOL:
+    pauli = state._pauli
+    # K's entries are +-1, so no Wigner value's imaginary part exceeds the
+    # state's bound; below half the tolerance no rounding can lift one past
+    # it, and only the other states transform Im P to decide
+    if (state._imag_bound > HERM_TOL / 2
+            and np.max(np.abs(_from_stokes(pauli.imag * c, state.n))) > HERM_TOL):
         raise ValidationError("Wigner values carry imaginary residue; input not Hermitian")
-    return WignerFunction._built(state.n, net.net_id, w.real.copy())
+    return WignerFunction._built(state.n, net.net_id, _from_stokes(pauli.real * c, state.n))
 
 
 def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:

@@ -33,7 +33,7 @@ from dwfnet import (
 from dwfnet import nets
 from dwfnet.wigner import WignerFunction
 from dwfnet.errors import UnsupportedDimensionError, ValidationError
-from dwfnet.reduction import _reduction_map_cached
+from dwfnet.reduction import _map_bytes, _reduction_map_cached
 from dwfnet.translations import xz_tables
 from dwfnet.verify import dense_hadamard
 
@@ -423,6 +423,6 @@ def test_byte_bounded_cache_evicts_oldest_first(monkeypatch):
         reduction_map(net, target, KeepSet(3, (0,)))
         assert sum(hm.h.nbytes for hm in hadamards.values()) <= budget
         # a map stores its sign grid y; the dense P is built on access only
-        assert sum(rm.y.nbytes for rm in maps.values()) <= budget
+        assert sum(_map_bytes(rm) for rm in maps.values()) <= budget
     # the newest two stay; the n = 1 target's H holds the rest of the budget
     assert [(3, i) in hadamards for i in fresh] == [False] * 4 + [True] * 2

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +29,9 @@ from dwfnet.errors import (
     UnsupportedNetError,
     ValidationError,
 )
+from dwfnet import nets
+from dwfnet.nets import _signs_by_id
+from dwfnet.reduction import _kept_cells, _reduction_map_cached
 from dwfnet.verify import dense_hadamard, partial_trace, suite_reduction_oracle
 
 
@@ -329,3 +334,30 @@ def test_concurrence_rejects_mixed_state():
     w = dwf(np.eye(4) / 4.0, 2, 0)
     with pytest.raises(PurityError):
         concurrence_from_dwf(w, build_net(net_context(2), 0))
+
+
+def test_map_cache_holds_to_its_byte_budget(monkeypatch):
+    # each cached map is charged for the objects it keeps, not only its 128 B
+    # sign grid, so 2,000 cold n = 3 -> 2 maps grow the traced heap by about
+    # the budget; the nets' signs are cached beforehand, so only maps are new
+    keeps, sources = [(0, 1), (0, 2), (1, 2)], range(3000, 3667)
+    for keep in keeps:
+        _kept_cells(3, keep)
+    for net_id in sources:
+        _signs_by_id(3, net_id)
+    _signs_by_id(2, 5)
+    budget = 64 * 2**10
+    monkeypatch.setattr(nets, "CACHE_BYTES", budget)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for net_id in sources:
+            for keep in keeps:
+                _reduction_map_cached(3, keep, net_id, 5)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(_reduction_map_cached.cache) < 2000
+    assert grown <= budget + 16 * 2**10

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,7 @@ def test_stokes_vector_rejects_non_finite_entries(bad):
         StokesVector(1, [1.0, bad, 0.0, 0.0])
     with pytest.raises(ValidationError, match='field "s" has a non-finite entry'):
         StokesVector._built(1, np.array([bad, 0.0, 0.0, 0.0]))
-    # finite entries whose sum overflows are still accepted (the screening
-    # sum overflows, and numpy's own warning says so)
-    with np.errstate(over="ignore"):
+    # finite entries whose sum overflows are accepted without any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert StokesVector(1, [1e308, 1e308, 0.0, 0.0]).s[0] == 1e308

@@ -4,7 +4,8 @@ the same way whether a caller or the library built it.
 `DensityState` memoises its Pauli grid and `WignerFunction` its K W, both
 read-only; every transform reading them must give, bit for bit, what the
 formula written directly with `pauli_grid`, `_to_stokes`, `_from_stokes`
-and `operator_from_grid` gives.
+and `operator_from_grid` gives, and what the same formulas give written in
+complex arithmetic with the unscaled Walsh-Hadamard matrix.
 """
 
 import warnings
@@ -83,6 +84,72 @@ def test_transforms_equal_the_direct_formulas(n):
         assert same_bits(conjugate_dwf(w).w, _from_stokes(ks * word_signs(n, CONJ_SIGNS), n))
         assert same_bits(spinflip_dwf(w).w, _from_stokes(ks * word_signs(n, [1, -1, -1, -1]), n))
         assert same_bits(reduce_dwf(w, rmap).w, _from_stokes(ks.ravel()[words] * y, keep.k))
+
+
+def complex_from_stokes(s, n):
+    """K^T S / N^2 written with the unscaled WH and a division, for any dtype."""
+    wh = xz_tables(n).wh
+    return (wh @ s @ wh).ravel()[net_context(n).table.grid] / 4**n
+
+
+def complex_operator(s, n):
+    """sum_j s_j Sigma_j / N written as one complex product and a division."""
+    t = xz_tables(n)
+    return ((t.phase * s) @ t.wh).ravel()[t.scatter] / 2**n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_real_kernels_match_the_complex_formulas(n):
+    # the real kernels pre-scale WH by 1 / N and split complex products into
+    # real ones; both are exact, so every output keeps its bits
+    rng = np.random.default_rng(600 + n)
+    net, other = random_net(n, rng), random_net(n, rng)
+    c, c_other = sign_grid(net), sign_grid(other)
+    keep = KeepSet(n, tuple(range(n - 1, -1, -2))[::-1])
+    target = random_net(keep.k, np.random.default_rng(700 + n))
+    rmap = reduction_map(net, target, keep)
+    words = _kept_cells(n, keep.keep)
+    y = sign_grid(target) * c.ravel()[words]
+    wh, grid = xz_tables(n).wh, net_context(n).table.grid
+    for state in (random_pure(n, rng), random_density(n, rng)):
+        w = dwf_from_rho(state, net)
+        assert same_bits(w.w, complex_from_stokes(pauli_grid(state.rho, n) * c, n).real)
+        w_grid = np.zeros(4**n)
+        w_grid[grid] = w.w
+        ks = wh @ w_grid.reshape(wh.shape) @ wh
+        assert same_bits(rho_from_dwf(w, net).rho, complex_operator(ks * c, n))
+        assert same_bits(convert_net(w, other).w, complex_from_stokes(ks * (c * c_other), n))
+        conj, flip = word_signs(n, CONJ_SIGNS), word_signs(n, [1, -1, -1, -1])
+        assert same_bits(conjugate_dwf(w).w, complex_from_stokes(ks * conj, n))
+        assert same_bits(spinflip_dwf(w).w, complex_from_stokes(ks * flip, n))
+        reduced = complex_from_stokes(ks.ravel()[words] * y, keep.k)
+        assert same_bits(reduce_dwf(w, rmap).w, reduced)
+
+
+def test_imaginary_residue_error_fires_where_the_complex_transform_exceeds_it():
+    # rho + i delta B with B = sign(Re A_alpha) symmetrised is Hermitian to
+    # 2 delta < HERM_TOL, so each state is accepted; its Wigner values carry
+    # imaginary parts up to delta sum|Re A_alpha| / N, past HERM_TOL for some
+    # n = 4 nets, so the transform raises exactly where the complex one does
+    raised = passed = 0
+    for n in range(1, 5):
+        rng = np.random.default_rng(800 + n)
+        nets = [random_net(n, rng) for _ in range(3)]
+        for trial in range(10):
+            a = nets[trial % 3].ops_array[rng.integers(4**n)]
+            signs = np.sign(a.real)
+            delta = rng.uniform(0.4e-10, 0.5e-10)
+            state = DensityState(n, random_density(n, rng).rho + 0.5j * delta * (signs + signs.T))
+            for net in nets:
+                w = complex_from_stokes(pauli_grid(state.rho, n) * sign_grid(net), n)
+                if np.max(np.abs(w.imag)) > wigner.HERM_TOL:
+                    with pytest.raises(ValidationError, match="imaginary residue"):
+                        dwf_from_rho(state, net)
+                    raised += 1
+                else:
+                    dwf_from_rho(state, net)
+                    passed += 1
+    assert raised and passed
 
 
 def test_memos_are_read_only_and_computed_once(monkeypatch):
