@@ -5,8 +5,11 @@ keep only the Pauli words acting as identity on the traced qubits
 (selection matrix T_k), then map back with the target net's inverse
 Hadamard: P = H_k^{-1} T_k H_n.  Applying P to the Wigner vector of any
 state gives the Wigner vector (in the target net) of the partial trace.
-P is diagonal in Stokes space with signs c_k c_n on the kept words, which is
-all a map stores: no reduction matrix is kept, P is built on access for oracles.
+The code follows that shape: `reduce_dwf` gathers the kept words S[words]
+of the DWF's memoised, net-independent Stokes grid S (this is T_k) and maps
+them back with `wigner._dwf_on`, the one place a net enters.  A map holds
+only its keep set, both net ids and the shared table `words`; no reduction
+matrix or sign grid is kept, and P is built on access for oracles.
 
 The marginal-sum and sign-kernel shortcuts for product-structured two-qubit
 nets are provided as an independent cross-check path, together with a
@@ -29,9 +32,8 @@ from .errors import (
     check_int,
 )
 from .ffield import check_degree
-from .nets import QuantumNet, _signs_by_id, bytes_lru, detect_product_structure
-from .translations import _xz_tables
-from .wigner import WignerFunction, _layout, _sign_matrix, _sign_sandwich, purity_from_dwf
+from .nets import QuantumNet, _signs_by_id, detect_product_structure
+from .wigner import WignerFunction, _dwf_on, _layout, _sign_matrix, purity_from_dwf
 
 
 @dataclass(frozen=True)
@@ -65,57 +67,25 @@ def _kept_cells(n: int, keep: tuple) -> np.ndarray:
     return words
 
 
-def selection_matrix(keep: KeepSet) -> np.ndarray:
-    """0/1 matrix extracting the kept qubits' Stokes components.
-
-    Row r (a k-qubit Pauli index) selects the n-qubit Pauli index whose
-    digits equal r's digits on kept positions and 0 on traced positions.
-    """
-    cells = _kept_cells(keep.n, keep.keep).ravel()[_xz_tables(keep.k).cells]
-    return np.eye(4**keep.n, dtype=np.int64)[_xz_tables(keep.n).stokes.ravel()[cells]]
-
-
 @dataclass(frozen=True)
 class ReductionMap:
-    """A reduction as the kept words' n-qubit cells `words` and their signs
-    y = c_k c_n[words], 4^k each; no matrix is stored, `p` builds P on access."""
+    """A reduction as its keep set, both net ids and the kept words' n-qubit
+    cells `words[x', z']` (shared, read-only); no matrix is stored, `p`
+    builds P on access."""
 
     keep: KeepSet
     source_net: int
     target_net: int
     words: np.ndarray
-    y: np.ndarray
 
     @property
     def p(self) -> np.ndarray:
-        """The dense 4^k x 4^n P for oracles, built on each access, never stored;
-        column alpha sits at the k-qubit [z, x] cell of point alpha's kept bits."""
-        words = self.words.ravel()
-        return _sign_matrix(self.y, np.searchsorted(words, _layout(self.keep.n)[2] & words[-1]))
-
-
-# What one cached map holds besides y's data: the ReductionMap and KeepSet
-# objects, y's array header, the key tuple and the OrderedDict node.  Over
-# 2,000 cold n = 3 -> 2 maps, tracemalloc (CPython 3.11, numpy 2.4) counts
-# 700 B per map, 128 B of it y's data, in a cache that never evicts, and
-# 1,010 B in one that evicts under a 64 KiB budget, its table resizing as it
-# churns; a k = 2 map is charged the larger figure, rounded to 1 KiB.
-_MAP_ENTRY_BYTES = 896
-
-
-def _map_bytes(rmap: ReductionMap) -> int:
-    """A cached map's charge against CACHE_BYTES; `words` is shared through
-    `_kept_cells` and the nets' signs are charged in `_signs_by_id`."""
-    return rmap.y.nbytes + _MAP_ENTRY_BYTES
-
-
-@bytes_lru(_map_bytes)
-def _reduction_map_cached(n: int, keep: tuple, source_net: int, target_net: int):
-    ks = KeepSet(n, keep)
-    words = _kept_cells(n, ks.keep)
-    y = _signs_by_id(ks.k, target_net) * _signs_by_id(n, source_net).ravel()[words]
-    y.flags.writeable = False  # shared by every caller through the cache
-    return ReductionMap(ks, source_net, target_net, words, y)
+        """The dense 4^k x 4^n P for oracles, built on each access, never stored:
+        the Stokes-diagonal map with signs c_k c_n[words], column alpha at the
+        k-qubit [z, x] cell of point alpha's kept bits."""
+        k, n, words = self.keep.k, self.keep.n, self.words.ravel()
+        y = _signs_by_id(k, self.target_net) * _signs_by_id(n, self.source_net).ravel()[self.words]
+        return _sign_matrix(y, np.searchsorted(words, _layout(n)[2] & words[-1]))
 
 
 def reduction_map(
@@ -130,9 +100,7 @@ def reduction_map(
         raise DimensionMismatchError(
             f"target net is for n={target_net.n_qubits}, keep set keeps k={keep.k}"
         )
-    return _reduction_map_cached(
-        keep.n, keep.keep, source_net.net_id, target_net.net_id
-    )
+    return ReductionMap(keep, source_net.net_id, target_net.net_id, _kept_cells(keep.n, keep.keep))
 
 
 def reduce_dwf(w: WignerFunction, rmap: ReductionMap) -> WignerFunction:
@@ -142,17 +110,15 @@ def reduce_dwf(w: WignerFunction, rmap: ReductionMap) -> WignerFunction:
             f"Wigner function (n={w.n}, net {w.net_id}) does not match reduction "
             f"map source (n={rmap.keep.n}, net {rmap.source_net})"
         )
-    w_k = _sign_sandwich(w, rmap.y, rmap.words)
-    return WignerFunction._built(rmap.keep.k, rmap.target_net, w_k)
+    return _dwf_on(rmap.target_net, w._stokes.ravel()[rmap.words])
 
 
 def convert_net(w: WignerFunction, target_net: QuantumNet) -> WignerFunction:
     """Re-express a DWF in another net of the same size: W' = H'^T H W / N^2,
-    diagonal in Stokes space with the signs c c' of both nets."""
+    the DWF's Stokes grid S = H W mapped back on the target net."""
     if target_net.n_qubits != w.n:
         raise DimensionMismatchError("target net size differs from the input DWF")
-    y = _signs_by_id(w.n, w.net_id) * _signs_by_id(w.n, target_net.net_id)
-    return WignerFunction._built(w.n, target_net.net_id, _sign_sandwich(w, y))
+    return _dwf_on(target_net.net_id, w._stokes)
 
 
 # -- product-net shortcut (cross-check path) -------------------------------
@@ -205,6 +171,7 @@ def concurrence_from_dwf(w: WignerFunction, source_net: QuantumNet) -> float:
         raise PurityError(
             f"input purity {purity:.8f} is not 1; concurrence needs a pure state"
         )
-    wa = reduce_dwf(w, _reduction_map_cached(2, (0,), source_net.net_id, 0))
+    keep = KeepSet(2, (0,))
+    wa = reduce_dwf(w, ReductionMap(keep, source_net.net_id, 0, _kept_cells(2, keep.keep)))
     purity_a = purity_from_dwf(wa)
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity_a))))

@@ -5,16 +5,17 @@ convention of `translations.pauli_words` (first qubit most significant).
 
 Stokes components carry no 1/2^n prefactor: s_j = Tr(rho Sigma_j).  Under
 this convention H has pure +-1 entries, H^{-1} = H^T / N^2, and the
-subsystem selection matrices of the reduction engine are plain 0/1
-matrices.  A 1/2^n rescaling recovers the normalized convention.
+subsystem selection matrices T_k of the reduction formula
+(`verify.selection_matrix`) are plain 0/1 matrices.  A 1/2^n rescaling recovers the normalized convention.
 
 `stokes_from_rho` is `translations.pauli_grid` in Stokes order and
-`stokes_from_dwf` is S = H W = c * (K W), both read from the value's
-memoised Stokes grid; H = diag(c) K lives in `nets` (re-exported here).
-F and G are K^T diag(y) K / N^2 with y the sign each word picks up under
-complex conjugation (F) or the spin flip (G), the same for every net and
-cached per size: `conjugate_dwf` and `spinflip_dwf` apply them through
-`wigner._sign_sandwich`, the `_matrix` functions build them.
+`stokes_from_dwf` is S = H W, both read off the value's memoised,
+net-independent Stokes grid; H = diag(c) K lives in `nets` (re-exported
+here).  F and G are K^T diag(y) K / N^2 with y the sign each word picks up
+under complex conjugation (F) or the spin flip (G), the same for every net
+and cached per size: `conjugate_dwf` and `spinflip_dwf` multiply the DWF's
+S by y and map back to its net with `wigner._dwf_on`, the `_matrix`
+functions build them.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 from .errors import ValidationError
 from .ffield import check_degree
 # HadamardMatrix, hadamard_matrix and pauli_words are re-exported here
-from .nets import HadamardMatrix, QuantumNet, _signs_by_id, hadamard_matrix
+from .nets import HadamardMatrix, QuantumNet, hadamard_matrix
 from .translations import CONJ_SIGNS, _xz_tables, pauli_words
-from .wigner import DensityState, WignerFunction, _read_only, _sign_matrix, _sign_sandwich
+from .wigner import DensityState, WignerFunction, _dwf_on, _read_only, _sign_matrix
 
 # per-qubit signs of F and G: conj(sigma_j) = CONJ_SIGNS[j] sigma_j and
 # sigma_y conj(sigma_j) sigma_y = -sigma_j for j > 0
@@ -66,16 +67,16 @@ class StokesVector:
 
 def stokes_from_rho(state: DensityState) -> StokesVector:
     """s_j = Tr(rho Sigma_j); s[0] = 1 for unit-trace inputs."""
-    vals = state._pauli.ravel()[_xz_tables(state.n).cells]
-    if np.max(np.abs(vals.imag)) > 1e-10:
+    # the cells are a permutation of the grid, so the state's memoised
+    # max |Im P| is the largest residue among the components
+    if state._imag_max > 1e-10:
         raise ValidationError("Stokes components carry imaginary residue")
-    return StokesVector._built(state.n, vals.real.copy())
+    return StokesVector._built(state.n, state._pauli.real.ravel()[_xz_tables(state.n).cells])
 
 
 def stokes_from_dwf(w: WignerFunction) -> StokesVector:
-    """S = H W = c * (K W), read from the DWF's memoised K W without H."""
-    s = w._stokes * _signs_by_id(w.n, w.net_id)
-    return StokesVector._built(w.n, s.ravel()[_xz_tables(w.n).cells])
+    """S = H W, read from the DWF's memoised Stokes grid without H."""
+    return StokesVector._built(w.n, w._stokes.ravel()[_xz_tables(w.n).cells])
 
 
 @lru_cache(maxsize=16)
@@ -106,9 +107,9 @@ def spinflip_matrix(net: QuantumNet) -> np.ndarray:
 
 def conjugate_dwf(w: WignerFunction) -> WignerFunction:
     """F W: the DWF of conj(rho) on the same net, without building F."""
-    return WignerFunction._built(w.n, w.net_id, _sign_sandwich(w, _word_signs(w.n, "F")))
+    return _dwf_on(w.net_id, w._stokes * _word_signs(w.n, "F"))
 
 
 def spinflip_dwf(w: WignerFunction) -> WignerFunction:
     """G W: the spin-flipped state's DWF on the same net, without building G."""
-    return WignerFunction._built(w.n, w.net_id, _sign_sandwich(w, _word_signs(w.n, "G")))
+    return _dwf_on(w.net_id, w._stokes * _word_signs(w.n, "G"))

@@ -440,6 +440,20 @@ def partial_trace(rho: np.ndarray, n: int, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
+def selection_matrix(keep: KeepSet) -> np.ndarray:
+    """0/1 matrix T_k extracting the kept qubits' Stokes components.
+
+    Row r (a k-qubit Pauli index) keeps r's base-4 digits on the kept
+    positions, 0 elsewhere (first qubit most significant); built from the
+    digits alone, apart from the reduction engine's tables.
+    """
+    rows = np.arange(4**keep.k)
+    digits = (rows[:, None] >> 2 * np.arange(keep.k)[::-1]) & 3
+    t = np.zeros((len(rows), 4**keep.n), dtype=np.int64)
+    t[rows, digits @ 4 ** (keep.n - 1 - np.array(keep.keep))] = 1
+    return t
+
+
 def _all_keep_sets(n: int):
     for k in range(1, n + 1):
         yield from (KeepSet(n, c) for c in combinations(range(n), k))

@@ -8,18 +8,19 @@ positivity violations only warn.
 Both run through Stokes space in the (x, z) mask layout of
 `translations.xz_tables` on the net's sign vector c, H = diag(c) K, with
 point alpha at [z_alpha, x_alpha] of an N x N grid: K W = WH W_grid WH
-(`_to_stokes`) and K^T S / N^2 = (WH / N) S (WH / N) (`_from_stokes`).  Every
-other map of the package is diagonal in Stokes space: for a +-1 grid y,
-W' = K^T diag(y) K W / N^2 (`_sign_sandwich`).  y = c c' converts between
-nets, F and G take each word's sign under conjugation or the spin flip,
-and a reduction map gathers the kept words and takes their signs c_k c_n.
+(`_to_stokes`) and K^T S / N^2 = (WH / N) S (WH / N) (`_from_stokes`).  A
+DWF memoises its Stokes grid S = H W = c (K W), which does not depend on
+the net, and every map of the package acts on S alone: the state's Pauli
+grid, S itself for net conversion, S times the net-independent signs of F
+or G, or the kept words S[words] of a reduction (T_k).  The net enters
+only through `_dwf_on`, the one way back: W = K^T (c S) / N^2.
 
 Every kernel is real float64: the +-1 WH is never cast to complex, and the
 1 / N^2 rides exactly in the cached WH / N, so no kernel ends with a
 division.  Complex numbers appear only at the rho boundary: `dwf_from_rho`
 transforms the real part of the state's Pauli grid (the imaginary part only
-when the state's bound on it reaches the tolerance), and `rho_from_dwf`
-fills the two planes of rho from two real products.
+when the state's largest imaginary Pauli component reaches the tolerance),
+and `rho_from_dwf` fills the two planes of rho from two real products.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # Each value type checks its array in `_settle`, the one set of checks for
 # the array a caller passes (copied first) and for an array the library has
 # just built (`_built`, not copied).  The net-independent Stokes grid of a
-# value is memoised read-only on first use, so a value met by several nets
-# or maps is transformed once.
+# value (a state's Pauli grid, a DWF's S) is memoised read-only on first
+# use, so a value met by several nets or maps is transformed once.
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,10 @@ class DensityState:
         return _read_only(pauli_grid(self.rho, self.n))
 
     @cached_property
-    def _imag_bound(self) -> float:
-        """sum |Im P| / 4^n, a bound on |Im W| on every net."""
-        return float(np.abs(self._pauli.imag).sum()) / 4**self.n
+    def _imag_max(self) -> float:
+        """max |Im P|, which bounds |Im W| on every net and decides the
+        residue test of `stokes_from_rho`."""
+        return float(np.abs(self._pauli.imag).max())
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,8 @@ class WignerFunction:
 
     @cached_property
     def _stokes(self) -> np.ndarray:
-        """K W as the read-only grid [x, z] of `_to_stokes`."""
-        return _read_only(_to_stokes(self.w, self.n))
+        """S = H W = c (K W), the state's net-independent Stokes grid [x, z], read-only."""
+        return _read_only(_to_stokes(self.w, self.n) * _signs_by_id(self.n, self.net_id))
 
     @property
     def order(self) -> int:
@@ -180,16 +182,17 @@ def _to_stokes(w: np.ndarray, n: int) -> np.ndarray:
     return wh @ w[points].reshape(wh.shape) @ wh
 
 
-def _sign_sandwich(w: WignerFunction, y: np.ndarray, words=None) -> np.ndarray:
-    """The one Stokes-diagonal map, on w's memoised K W: W' = K_k^T diag(y) (K W)[words]
-    / 4^k for a +-1 k-qubit grid y[x, z] and the kept words' n-qubit cells (default all)."""
-    s = w._stokes if words is None else w._stokes.ravel()[words]
-    return _from_stokes(s * y, len(y).bit_length() - 1)
+def _dwf_on(net_id: int, s: np.ndarray) -> WignerFunction:
+    """The DWF on net `net_id` of the real k-qubit Stokes grid s[x, z]:
+    W = H^T S / 4^k = K^T (c S) / 4^k, k read off s's shape."""
+    k = len(s).bit_length() - 1
+    return WignerFunction._built(k, net_id, _from_stokes(s * _signs_by_id(k, net_id), k))
 
 
 def _sign_matrix(y: np.ndarray, cells=None) -> np.ndarray:
-    """The dense matrix D of `_sign_sandwich` with signs y, column alpha at
-    flat [z, x] grid cell `cells[alpha]` (default: each point's own cell).
+    """The dense matrix D = K^T diag(y) K / N^2 of a Stokes-diagonal map
+    with +-1 grid y[x, z], column alpha at flat [z, x] grid cell
+    `cells[alpha]` (default: each point's own cell).
     K's columns are characters of the XOR group of (x, z) masks, so
     D[beta, alpha] = D[beta ^ alpha, 0] = (K^T y)[beta ^ alpha] / N^2."""
     n = len(y).bit_length() - 1
@@ -204,15 +207,15 @@ def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
         raise ValidationError(
             f"state has n={state.n} but net is for n={net.n_qubits}"
         )
-    c = _signs_by_id(state.n, net.net_id)
     pauli = state._pauli
-    # K's entries are +-1, so no Wigner value's imaginary part exceeds the
-    # state's bound; below half the tolerance no rounding can lift one past
-    # it, and only the other states transform Im P to decide
-    if (state._imag_bound > HERM_TOL / 2
-            and np.max(np.abs(_from_stokes(pauli.imag * c, state.n))) > HERM_TOL):
-        raise ValidationError("Wigner values carry imaginary residue; input not Hermitian")
-    return WignerFunction._built(state.n, net.net_id, _from_stokes(pauli.real * c, state.n))
+    # H's entries are +-1, so |Im W| <= sum |Im P| / 4^n <= max |Im P|; below
+    # half the tolerance no rounding can lift a value past it, and only the
+    # other states transform Im P to decide
+    if state._imag_max > HERM_TOL / 2:
+        c = _signs_by_id(state.n, net.net_id)
+        if np.max(np.abs(_from_stokes(pauli.imag * c, state.n))) > HERM_TOL:
+            raise ValidationError("Wigner values carry imaginary residue; input not Hermitian")
+    return _dwf_on(net.net_id, pauli.real)
 
 
 def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
@@ -222,8 +225,7 @@ def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
             f"Wigner function (n={w.n}, net {w.net_id}) does not match "
             f"net {net.net_id} (n={net.n_qubits})"
         )
-    s = w._stokes * _signs_by_id(w.n, w.net_id)
-    return DensityState._built(w.n, operator_from_grid(s, w.n))
+    return DensityState._built(w.n, operator_from_grid(w._stokes, w.n))
 
 
 def line_probability(w: WignerFunction, line: np.ndarray) -> float:

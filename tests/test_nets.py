@@ -33,7 +33,6 @@ from dwfnet import (
 from dwfnet import nets
 from dwfnet.wigner import WignerFunction
 from dwfnet.errors import UnsupportedDimensionError, ValidationError
-from dwfnet.reduction import _map_bytes, _reduction_map_cached
 from dwfnet.translations import xz_tables
 from dwfnet.verify import dense_hadamard
 
@@ -327,10 +326,9 @@ def test_transforms_build_no_point_operators():
 
 def test_transforms_build_no_dense_matrix():
     # the transforms, net conversion, F, G and reduction maps read sign
-    # vectors only: the Hadamard cache gains no entry, and the reduction-map
-    # cache only the maps asked for
-    hadamards, maps = nets._hadamard_by_id.cache, _reduction_map_cached.cache
-    before, asked = set(hadamards), set(maps)
+    # vectors only: the Hadamard cache gains no entry
+    hadamards = nets._hadamard_by_id.cache
+    before = set(hadamards)
     rng = np.random.default_rng(31)
     for m in [3, 4, 5]:  # other tests cache H for every n <= 2 net
         ctx = net_context(m)
@@ -347,8 +345,7 @@ def test_transforms_build_no_dense_matrix():
         keep = KeepSet(m, (0, m - 1))
         target = build_net(net_context(2), int(rng.integers(1024)))
         reduce_dwf(w, reduction_map(net, target, keep))
-        asked.add((m, keep.keep, net.net_id, target.net_id))
-    assert set(hadamards) == before and set(maps) == asked
+    assert set(hadamards) == before
 
 
 def test_byte_bounded_cache_is_thread_safe(monkeypatch):
@@ -409,20 +406,17 @@ def test_byte_bounded_cache_evicts_oldest_first(monkeypatch):
     zeros(0)  # evicted entries are recomputed
     assert calls[-1] == 0
 
-    # the Hadamard and reduction-map caches hold to the same budget
+    # the Hadamard cache holds to the same budget
     budget = 3 * 64 * 64 * 8  # three n = 3 Hadamard matrices
     monkeypatch.setattr(nets, "CACHE_BYTES", budget)
     ctx3, ctx1 = net_context(3), net_context(1)
-    hadamards, maps = nets._hadamard_by_id.cache, _reduction_map_cached.cache
+    hadamards = nets._hadamard_by_id.cache
     fresh = [i for i in range(5000, 5100) if (3, i) not in hadamards][:6]
     target = build_net(ctx1, 0)
     for net_id in fresh:
         net = build_net(ctx3, net_id)
         hadamard_matrix(net)
         hadamard_matrix(target)  # refreshed each round, never the oldest
-        reduction_map(net, target, KeepSet(3, (0,)))
         assert sum(hm.h.nbytes for hm in hadamards.values()) <= budget
-        # a map stores its sign grid y; the dense P is built on access only
-        assert sum(_map_bytes(rm) for rm in maps.values()) <= budget
     # the newest two stay; the n = 1 target's H holds the rest of the budget
     assert [(3, i) in hadamards for i in fresh] == [False] * 4 + [True] * 2

@@ -21,7 +21,6 @@ from dwfnet import (
     reduce_dwf,
     reduction_map,
     rho_from_dwf,
-    selection_matrix,
 )
 from dwfnet.errors import (
     NetMismatchError,
@@ -29,10 +28,9 @@ from dwfnet.errors import (
     UnsupportedNetError,
     ValidationError,
 )
-from dwfnet import nets
 from dwfnet.nets import _signs_by_id
-from dwfnet.reduction import _kept_cells, _reduction_map_cached
-from dwfnet.verify import dense_hadamard, partial_trace, suite_reduction_oracle
+from dwfnet.reduction import _kept_cells
+from dwfnet.verify import dense_hadamard, partial_trace, selection_matrix, suite_reduction_oracle
 
 
 def dwf(rho, n, net_id):
@@ -127,7 +125,7 @@ def test_reduction_applies_p_without_storing_it():
         rmap = reduction_map(src, tgt, keep)
         assert np.max(np.abs(reduce_dwf(w, rmap).w - rmap.p @ w.w)) < 1e-12
         stored = [a for a in vars(rmap).values() if isinstance(a, np.ndarray)]
-        assert len(stored) == 2 and max(a.size for a in stored) <= 4**keep.k
+        assert len(stored) == 1 and max(a.size for a in stored) <= 4**keep.k
         assert not any(a.flags.writeable for a in stored)
 
 
@@ -336,28 +334,29 @@ def test_concurrence_rejects_mixed_state():
         concurrence_from_dwf(w, build_net(net_context(2), 0))
 
 
-def test_map_cache_holds_to_its_byte_budget(monkeypatch):
-    # each cached map is charged for the objects it keeps, not only its 128 B
-    # sign grid, so 2,000 cold n = 3 -> 2 maps grow the traced heap by about
-    # the budget; the nets' signs are cached beforehand, so only maps are new
+def test_dropped_reduction_maps_hold_no_memory():
+    # a map holds its keep set, both net ids and the shared table `words`, so
+    # 2,000 cold n = 3 -> 2 maps built and dropped leave the traced heap as it
+    # was; the nets' signs and kept cells are cached beforehand, so only the
+    # maps themselves are new
     keeps, sources = [(0, 1), (0, 2), (1, 2)], range(3000, 3667)
     for keep in keeps:
         _kept_cells(3, keep)
     for net_id in sources:
         _signs_by_id(3, net_id)
     _signs_by_id(2, 5)
-    budget = 64 * 2**10
-    monkeypatch.setattr(nets, "CACHE_BYTES", budget)
+    ctx3 = net_context(3)
+    source_nets = [build_net(ctx3, net_id) for net_id in sources]
+    target, keep_sets = build_net(net_context(2), 5), [KeepSet(3, keep) for keep in keeps]
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for net_id in sources:
-            for keep in keeps:
-                _reduction_map_cached(3, keep, net_id, 5)
+        for net in source_nets:
+            for keep in keep_sets:
+                reduction_map(net, target, keep)
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(_reduction_map_cached.cache) < 2000
-    assert grown <= budget + 16 * 2**10
+    assert grown < 16 * 2**10

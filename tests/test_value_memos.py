@@ -1,11 +1,12 @@
 """Each value computes its net-independent Stokes grid once and is checked
 the same way whether a caller or the library built it.
 
-`DensityState` memoises its Pauli grid and `WignerFunction` its K W, both
-read-only; every transform reading them must give, bit for bit, what the
-formula written directly with `pauli_grid`, `_to_stokes`, `_from_stokes`
-and `operator_from_grid` gives, and what the same formulas give written in
-complex arithmetic with the unscaled Walsh-Hadamard matrix.
+`DensityState` memoises its Pauli grid and `WignerFunction` its Stokes
+grid S = H W, both read-only; every transform reading them must give, bit
+for bit, what the formula written directly with `pauli_grid`,
+`_to_stokes`, `_from_stokes` and `operator_from_grid` gives, and what the
+same formulas give written in complex arithmetic with the unscaled
+Walsh-Hadamard matrix.
 """
 
 import warnings
@@ -124,6 +125,22 @@ def test_real_kernels_match_the_complex_formulas(n):
         assert same_bits(spinflip_dwf(w).w, complex_from_stokes(ks * flip, n))
         reduced = complex_from_stokes(ks.ravel()[words] * y, keep.k)
         assert same_bits(reduce_dwf(w, rmap).w, reduced)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_dwf_memo_is_the_net_independent_stokes_grid(n):
+    # a DWF memoises S = H W, the same grid for one state on any net: read in
+    # Stokes order it is `stokes_from_dwf` and the dense H W
+    rng = np.random.default_rng(900 + n)
+    state = random_density(n, rng)
+    nets = [random_net(n, rng) for _ in range(2)]
+    dwfs = [dwf_from_rho(state, net) for net in nets]
+    assert np.max(np.abs(dwfs[0]._stokes - dwfs[1]._stokes)) < 1e-12
+    cells = xz_tables(n).cells
+    for w, net in zip(dwfs, nets):
+        s = w._stokes.ravel()[cells]
+        assert same_bits(s, stokes_from_dwf(w).s)
+        assert np.max(np.abs(s - hadamard_matrix(net).h @ w.w)) < 1e-12
 
 
 def test_imaginary_residue_error_fires_where_the_complex_transform_exceeds_it():
