@@ -58,6 +58,10 @@ def _require_n(doc: dict) -> int:
     return check_degree(_require(doc, "n", int), 'field "n"')
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _floats(value, key: str) -> np.ndarray:
     """np.array(value, dtype=float), rejecting integers beyond the float range."""
     try:
@@ -83,23 +87,12 @@ def parse_state(text: str) -> DensityState:
     n = _require_n(doc)
     rows = _require(doc, "rho", list)
     dim = 2**n
-    if len(rows) != dim or any(
-        not isinstance(row, list) or len(row) != dim for row in rows
-    ):
+    if len(rows) != dim or any(not isinstance(row, list) or len(row) != dim for row in rows):
         raise ValidationError(f'field "rho" must be a {dim}x{dim} matrix for n={n}')
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in cell
-                )
-            ):
-                raise ValidationError(
-                    f'field "rho"[{i}][{j}] must be a [re, im] pair'
-                )
+            if not isinstance(cell, list) or len(cell) != 2 or not all(map(_is_number, cell)):
+                raise ValidationError(f'field "rho"[{i}][{j}] must be a [re, im] pair')
     # each [re, im] pair is one complex128 in memory
     return DensityState(n, _floats(rows, "rho").view(complex)[..., 0])
 
@@ -116,7 +109,7 @@ def parse_dwf(text: str) -> WignerFunction:
     n = _require_n(doc)
     net = _require(doc, "net", int)
     w = _require(doc, "w", list)
-    if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in w):
+    if not all(map(_is_number, w)):
         raise ValidationError('field "w" must be an array of numbers')
     return WignerFunction(n, net, _floats(w, "w"))
 

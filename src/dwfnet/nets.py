@@ -10,12 +10,13 @@ most significant.
 Translations only permute a striation's eigenstates, by the integer table
 `Eigensystems.flips`, so line projectors, translation orbits and product
 detection are all exact integer bookkeeping.  So is the net's sign
-vector c_j = Tr(Sigma_j A_0), read off the striation sign tables and kept
-in the (x, z) mask layout of `translations.xz_tables`; every transform and
-map reads c alone.  The net's +-1 Hadamard matrix
-H[j, alpha] = Tr(Sigma_j A_alpha) = diag(c) K, with K the commutation signs
-of the Pauli words and the translations, is built only by `hadamard_matrix`.
-Both are cached by id within a byte budget, with no point operator.
+vector c_j = Tr(Sigma_j A_0), one row gather of the striation sign tables in
+the (x, z) mask layout of `translations.xz_tables`; every transform and map
+reads c alone.  `hadamard_matrix` builds the net's +-1 Hadamard matrix
+H[j, alpha] = Tr(Sigma_j A_alpha) = diag(c) K as one product of c with K, the
+net-independent commutation signs of the Pauli words and the translations,
+cached per size as read-only int8 (1 MiB at n = 5).  c and H are cached by
+id, all three within a byte budget, with no point operator.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ from functools import cached_property, lru_cache, wraps
 import numpy as np
 
 from .errors import (
-    NetConstructionError,
-    UnsupportedDimensionError,
-    UnsupportedNetError,
-    ValidationError,
+    NetConstructionError, UnsupportedDimensionError, UnsupportedNetError, ValidationError,
     check_int,
 )
 from .ffield import GF2m, check_degree
@@ -42,6 +40,7 @@ FULL_ENUMERATION_LIMIT = 4  # N above this needs explicit sampling
 # Byte budget of each per-net matrix cache: six times the census workload's
 # Hadamard matrices (about 10 MiB), or eight n = 5 Hadamard matrices.
 CACHE_BYTES = 64 * 2**20
+_MISSING = object()  # a cache miss, told apart from any cached value
 
 
 def bytes_lru(nbytes):
@@ -50,7 +49,8 @@ def bytes_lru(nbytes):
     CACHE_BYTES (read at each insertion).  Without concurrent hits the
     newest result always stays.  A hit takes no lock; a miss computes
     outside the lock and inserts under it.  The wrapper's `cache` attribute
-    is the ordered {arguments: result} map, oldest first.
+    is the ordered {arguments: result} map, oldest first, and `cache_clear`
+    empties it.
     """
 
     def decorate(fn):
@@ -63,11 +63,8 @@ def bytes_lru(nbytes):
             nonlocal total
             # a hit takes no lock: each OrderedDict call is atomic, and an
             # entry evicted between the two calls is still a valid result
-            try:
-                value = cache[key]
-            except KeyError:
-                pass
-            else:
+            value = cache.get(key, _MISSING)
+            if value is not _MISSING:
                 try:
                     cache.move_to_end(key)
                 except KeyError:
@@ -85,7 +82,13 @@ def bytes_lru(nbytes):
                     total -= nbytes(cache.popitem(last=False)[1])
             return value
 
-        cached.cache = cache
+        def cache_clear():
+            nonlocal total
+            with lock:
+                cache.clear()
+                total = 0
+
+        cached.cache, cached.cache_clear = cache, cache_clear
         return cached
 
     return decorate
@@ -95,10 +98,9 @@ class NetContext:
     """Per-field cache of everything net construction needs.
 
     `ray_cells[s, k]` is the flat [x, z] cell (see `translations.xz_tables`)
-    of the k-th non-identity word on striation s's ray, and
-    `eigensystems.signs[s, d, k]` its sign on state d of that striation.
-    The commutation signs K[j, q N + p] of word j and the translation of point
-    q N + p factor as `k_z[j, q] * k_x[j, p]` = WH[z_j, x_q] WH[x_j, z_p].
+    of the k-th non-identity word on striation s's ray, row s N + d of
+    `ray_signs` = `ray_rows[s]` + d their float signs `eigensystems.signs[s, d]`
+    on state d of that striation, and `ones` the grid they are written into.
     """
 
     def __init__(self, m: int) -> None:
@@ -108,11 +110,9 @@ class NetContext:
         self.eigensystems = build_eigensystems(self.space, self.table)
         rays = self.space.rays[:, 1:]
         self.ray_cells = self.table.x[rays] * self.order + self.table.z[rays]
-        t = _xz_tables(m)
-        xs, zs = np.divmod(t.cells, self.order)  # masks of Stokes word j
-        # point q * N + p has x = table.x[q * N] and z = table.z[p]
-        self.k_x = t.wh[:, self.table.z[: self.order]][xs]
-        self.k_z = t.wh[:, self.table.x[:: self.order]][zs]
+        self.ray_signs = self.eigensystems.signs.reshape(-1, self.order - 1).astype(float)
+        self.ray_rows = np.arange(self.order + 1) * self.order
+        self.ones = np.ones((self.order, self.order))
 
     @property
     def order(self) -> int:
@@ -218,11 +218,7 @@ class HadamardMatrix:
 
     n: int
     net_id: int
-    h: np.ndarray  # float64, exactly +-1
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self.h.T / float(4**self.n)
+    h: np.ndarray  # float64, exactly +-1; H^-1 = H^T / 4^n
 
 
 @bytes_lru(lambda c: c.nbytes)
@@ -234,25 +230,33 @@ def _signs_by_id(n: int, net_id: int) -> np.ndarray:
     that striation's sign on the state the net puts on the ray.
     """
     ctx = net_context(n)
-    striations = np.arange(ctx.order + 1)
-    c = np.ones(ctx.order**2)
-    c[ctx.ray_cells] = ctx.eigensystems.signs[striations, digits_of(net_id, ctx.order)]
-    c = c.reshape(ctx.order, ctx.order)
+    c = ctx.ones.copy()
+    c.ravel()[ctx.ray_cells] = ctx.ray_signs[ctx.ray_rows + digits_of(net_id, ctx.order)]
     c.flags.writeable = False  # shared by every caller through the cache
     return c
 
 
+@bytes_lru(lambda k: k.nbytes)
+def _characters(n: int) -> np.ndarray:
+    """K[j, alpha] = (-1)^{x_j . z_alpha + z_j . x_alpha}, the commutation sign
+    of Sigma_j and T_alpha, as a read-only int8 table.  Point q N + p has
+    x = table.x[q N] and z = table.z[p], so K[j, q N + p] = WH[z_j, x_q] WH[x_j, z_p],
+    both factors gathered from an int8 WH, so no K-sized array is wider than int8."""
+    ctx, t = net_context(n), _xz_tables(n)
+    wh = t.wh.astype(np.int8)
+    xs, zs = np.divmod(t.cells, ctx.order)  # masks of Stokes word j
+    k_x = wh[:, ctx.table.z[: ctx.order]][xs]
+    k_z = wh[:, ctx.table.x[:: ctx.order]][zs]
+    k = (k_z[:, :, None] * k_x[:, None, :]).reshape(ctx.order**2, ctx.order**2)
+    k.flags.writeable = False  # shared by every caller through the cache
+    return k
+
+
 @bytes_lru(lambda hm: hm.h.nbytes)
 def _hadamard_by_id(n: int, net_id: int) -> HadamardMatrix:
-    """H = diag(c) K.  A_alpha = T_alpha A_0 T_alpha^dag, so
-    K[j, alpha] = (-1)^{x_j . z_alpha + z_j . x_alpha} is the commutation
-    sign of Sigma_j and T_alpha.  K is the same for every net; it is built
-    here in one broadcast from the context's factors `k_z` and `k_x` and
-    not kept (8 MiB at n = 5)."""
-    ctx = net_context(n)
-    c = _signs_by_id(n, net_id).ravel()[_xz_tables(n).cells]
-    h = ctx.k_z[:, :, None] * (ctx.k_x * c[:, None])[:, None, :]
-    h = h.reshape(ctx.order**2, ctx.order**2)
+    """H[j, alpha] = c_j K[j, alpha], since A_alpha = T_alpha A_0 T_alpha^dag:
+    one product of c in Stokes order with the cached K of `_characters`."""
+    h = _signs_by_id(n, net_id).ravel()[_xz_tables(n).cells][:, None] * _characters(n)
     h.flags.writeable = False  # shared by every caller through the cache
     return HadamardMatrix(n, net_id, h)
 
@@ -336,9 +340,13 @@ class ProductReport:
     factor_b_conj_net: int | None = None  # net matching the conjugated second factor
 
 
-def _single_qubit_net(c: np.ndarray) -> int:
-    """The one single-qubit net whose sign grid is c (c[0, 0] = 1)."""
-    return next(i for i in range(8) if np.array_equal(_signs_by_id(1, i), c))
+@lru_cache(maxsize=None)
+def _single_qubit_nets() -> tuple:
+    """8-entry lookups from a single-qubit sign grid's bytes to (net id, form),
+    and from the conjugated (Y flipped) grid's bytes to the net id."""
+    grids, conj = [_signs_by_id(1, i) for i in range(8)], CONJ_SIGNS[_xz_tables(1).stokes]
+    forms = {g.tobytes(): (i, "eq6" if g.prod() > 0 else "eq7") for i, g in enumerate(grids)}
+    return forms, {(g * conj).tobytes(): i for i, g in enumerate(grids)}
 
 
 def detect_product_structure(net: QuantumNet) -> ProductReport:
@@ -359,9 +367,8 @@ def detect_product_structure(net: QuantumNet) -> ProductReport:
     if net.n_qubits != 2:
         raise UnsupportedNetError("product-structure detection is defined for n=2")
     c = _signs_by_id(2, net.net_id).reshape(2, 2, 2, 2)  # [x0, x1, z0, z1] by qubit
-    first, second = c[:, 0, :, 0], c[0, :, 0, :]
-    if not np.array_equal(c, c[:, :1, :, :1] * c[:1, :, :1, :]):
+    if not (c == c[:, :1, :, :1] * c[:1, :, :1, :]).all():
         return ProductReport(False, "none")
-    net_a = _single_qubit_net(first)
-    net_b_conj = _single_qubit_net(second * CONJ_SIGNS[_xz_tables(1).stokes])
-    return ProductReport(True, "eq6" if first.prod() > 0 else "eq7", net_a, net_b_conj)
+    forms, conjugated = _single_qubit_nets()
+    net_a, form = forms[c[:, 0, :, 0].tobytes()]
+    return ProductReport(True, form, net_a, conjugated[c[0, :, 0, :].tobytes()])

@@ -8,8 +8,9 @@ state gives the Wigner vector (in the target net) of the partial trace.
 The code follows that shape: `reduce_dwf` gathers the kept words S[words]
 of the DWF's memoised, net-independent Stokes grid S (this is T_k) and maps
 them back with `wigner._dwf_on`, the one place a net enters.  A map holds
-only its keep set, both net ids and the shared table `words`; no reduction
-matrix or sign grid is kept, and P is built on access for oracles.
+only its keep set and both net ids, checked against the keep set's sizes;
+the kept words are read from the keep set, no reduction matrix or sign grid
+is kept, and P is built on access for oracles.
 
 The marginal-sum and sign-kernel shortcuts for product-structured two-qubit
 nets are provided as an independent cross-check path, together with a
@@ -24,15 +25,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
-    NetMismatchError,
-    PurityError,
-    UnsupportedNetError,
-    ValidationError,
+    DimensionMismatchError, NetMismatchError, PurityError, UnsupportedNetError, ValidationError,
     check_int,
 )
 from .ffield import check_degree
-from .nets import QuantumNet, _signs_by_id, detect_product_structure
+from .nets import QuantumNet, _signs_by_id, check_net_id, detect_product_structure
 from .wigner import WignerFunction, _dwf_on, _layout, _sign_matrix, purity_from_dwf
 
 
@@ -69,23 +66,26 @@ def _kept_cells(n: int, keep: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReductionMap:
-    """A reduction as its keep set, both net ids and the kept words' n-qubit
-    cells `words[x', z']` (shared, read-only); no matrix is stored, `p`
-    builds P on access."""
+    """A reduction as its keep set and both net ids, checked against the keep
+    set's n and k.  No matrix is stored; `p` builds P on access."""
 
     keep: KeepSet
     source_net: int
     target_net: int
-    words: np.ndarray
+
+    def __post_init__(self):
+        check_net_id(self.source_net, 2**self.keep.n)
+        check_net_id(self.target_net, 2**self.keep.k)
 
     @property
     def p(self) -> np.ndarray:
         """The dense 4^k x 4^n P for oracles, built on each access, never stored:
         the Stokes-diagonal map with signs c_k c_n[words], column alpha at the
         k-qubit [z, x] cell of point alpha's kept bits."""
-        k, n, words = self.keep.k, self.keep.n, self.words.ravel()
-        y = _signs_by_id(k, self.target_net) * _signs_by_id(n, self.source_net).ravel()[self.words]
-        return _sign_matrix(y, np.searchsorted(words, _layout(n)[2] & words[-1]))
+        k, n = self.keep.k, self.keep.n
+        words = _kept_cells(n, self.keep.keep)
+        y = _signs_by_id(k, self.target_net) * _signs_by_id(n, self.source_net).ravel()[words]
+        return _sign_matrix(y, np.searchsorted(words.ravel(), _layout(n)[2] & words[-1, -1]))
 
 
 def reduction_map(
@@ -100,7 +100,7 @@ def reduction_map(
         raise DimensionMismatchError(
             f"target net is for n={target_net.n_qubits}, keep set keeps k={keep.k}"
         )
-    return ReductionMap(keep, source_net.net_id, target_net.net_id, _kept_cells(keep.n, keep.keep))
+    return ReductionMap(keep, source_net.net_id, target_net.net_id)
 
 
 def reduce_dwf(w: WignerFunction, rmap: ReductionMap) -> WignerFunction:
@@ -110,7 +110,7 @@ def reduce_dwf(w: WignerFunction, rmap: ReductionMap) -> WignerFunction:
             f"Wigner function (n={w.n}, net {w.net_id}) does not match reduction "
             f"map source (n={rmap.keep.n}, net {rmap.source_net})"
         )
-    return _dwf_on(rmap.target_net, w._stokes.ravel()[rmap.words])
+    return _dwf_on(rmap.target_net, w._stokes.ravel()[_kept_cells(rmap.keep.n, rmap.keep.keep)])
 
 
 def convert_net(w: WignerFunction, target_net: QuantumNet) -> WignerFunction:
@@ -172,6 +172,6 @@ def concurrence_from_dwf(w: WignerFunction, source_net: QuantumNet) -> float:
             f"input purity {purity:.8f} is not 1; concurrence needs a pure state"
         )
     keep = KeepSet(2, (0,))
-    wa = reduce_dwf(w, ReductionMap(keep, source_net.net_id, 0, _kept_cells(2, keep.keep)))
+    wa = reduce_dwf(w, ReductionMap(keep, source_net.net_id, 0))
     purity_a = purity_from_dwf(wa)
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - purity_a))))

@@ -14,6 +14,7 @@ from dwfnet import (
     GF2m,
     KeepSet,
     PhaseSpace,
+    ReductionMap,
     StokesVector,
     WignerFunction,
     line_probability,
@@ -28,6 +29,7 @@ from dwfnet.translations import xz_tables
 F4 = GF2m(2)
 SPACE = PhaseSpace(F4)
 W2 = WignerFunction(2, 7, np.full(16, 1 / 16))
+KEEP = KeepSet(2, (0,))  # source nets are n = 2 ids, target nets n = 1 ids
 RNG = np.random.default_rng(0)
 
 
@@ -81,6 +83,19 @@ REJECTED = [
     ("KeepSet-bool", lambda: KeepSet(True, (0,)), ValidationError),
     ("KeepSet-float", lambda: KeepSet(2.0, (0,)), ValidationError),
     ("KeepSet-six", lambda: KeepSet(6, (0,)), ValidationError),
+    # net ids of a reduction map, checked against the keep set's sizes
+    ("ReductionMap-source-bool", lambda: ReductionMap(KEEP, True, 0), ValidationError),
+    ("ReductionMap-source-negative", lambda: ReductionMap(KEEP, -1, 0), ValidationError),
+    ("ReductionMap-source-too-large", lambda: ReductionMap(KEEP, 1024, 0), ValidationError),
+    (
+        "ReductionMap-source-wrong-size",  # an n = 2 id on an n = 1 keep set
+        lambda: ReductionMap(KeepSet(1, (0,)), 100, 0),
+        ValidationError,
+    ),
+    ("ReductionMap-target-float", lambda: ReductionMap(KEEP, 0, 1.0), ValidationError),
+    ("ReductionMap-target-negative", lambda: ReductionMap(KEEP, 0, -1), ValidationError),
+    ("ReductionMap-target-too-large", lambda: ReductionMap(KEEP, 0, 8), ValidationError),
+    ("ReductionMap-target-wrong-size", lambda: ReductionMap(KEEP, 0, 100), ValidationError),
     # generators
     ("random_density-bool", lambda: random_density(True, RNG), ValidationError),
     ("random_density-float", lambda: random_density(2.0, RNG), ValidationError),

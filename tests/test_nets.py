@@ -246,6 +246,64 @@ def test_sign_vector_is_dense_hadamard_origin_column():
             assert np.array_equal(c, dense_hadamard(build_net(ctx, net_id))[:, 0])
 
 
+def _seeded_ids(n, count, seed):
+    rng = np.random.default_rng(seed)
+    order = 2**n
+    return [id_of(d, order) for d in rng.integers(0, order, (count, order + 1)).tolist()]
+
+
+def test_sign_vector_is_the_ray_sign_gather():
+    # c equals the striation sign tables indexed by (striation, digit), the
+    # first formula for c, for all n = 2 nets and seeded ids at n = 3..5
+    cases = [(2, range(1024))] + [(n, _seeded_ids(n, 50, 61 + n)) for n in (3, 4, 5)]
+    for n, ids in cases:
+        ctx = net_context(n)
+        for net_id in ids:
+            c = np.ones(ctx.order**2)
+            digits = digits_of(net_id, ctx.order)
+            c[ctx.ray_cells] = ctx.eigensystems.signs[np.arange(ctx.order + 1), digits]
+            got = nets._signs_by_id(n, net_id)
+            assert got.dtype == np.float64 and not got.flags.writeable
+            assert np.array_equal(got, c.reshape(ctx.order, ctx.order))
+
+
+def test_hadamard_is_signs_times_characters():
+    # H equals the first formula for it, one 3-D broadcast of c with the
+    # factors K[j, q N + p] = WH[z_j, x_q] WH[x_j, z_p], bit for bit at
+    # n = 1..5, and the dense Tr(Sigma_j A_alpha) at n <= 3
+    for n in [1, 2, 3, 4, 5]:
+        ctx, t = net_context(n), xz_tables(n)
+        xs, zs = np.divmod(t.cells, ctx.order)
+        k_x = t.wh[:, ctx.table.z[: ctx.order]][xs]
+        k_z = t.wh[:, ctx.table.x[:: ctx.order]][zs]
+        for net_id in _seeded_ids(n, 3 if n == 5 else 8, 71 + n):
+            c = nets._signs_by_id(n, net_id).ravel()[t.cells]
+            formula = k_z[:, :, None] * (k_x * c[:, None])[:, None, :]
+            net = build_net(ctx, net_id)
+            h = hadamard_matrix(net).h
+            assert h.dtype == np.float64 and not h.flags.writeable
+            assert np.array_equal(h, formula.reshape(h.shape))
+            if n <= 3:
+                assert np.array_equal(h, dense_hadamard(net))
+
+
+def test_characters_are_a_cached_int8_table(monkeypatch):
+    # K is one read-only int8 table per size, charged to the byte budget
+    # at one byte per entry
+    for n in [1, 2, 3]:
+        k = nets._characters(n)
+        assert k.dtype == np.int8 and k.shape == (4**n, 4**n) and not k.flags.writeable
+        assert nets._characters(n) is k
+    characters = nets._characters
+    characters.cache_clear()
+    monkeypatch.setattr(nets, "CACHE_BYTES", 4**6 + 4**4)  # K at n = 3 and 2
+    characters(3)
+    characters(2)
+    assert list(characters.cache) == [(3,), (2,)]
+    characters(1)  # 16 bytes more: the oldest goes
+    assert list(characters.cache) == [(2,), (1,)]
+
+
 def test_conjugated_net_matches_translated_id():
     ctx = net_context(2)
     net = build_net(ctx, 42)
@@ -326,9 +384,10 @@ def test_transforms_build_no_point_operators():
 
 def test_transforms_build_no_dense_matrix():
     # the transforms, net conversion, F, G and reduction maps read sign
-    # vectors only: the Hadamard cache gains no entry
+    # vectors only: the Hadamard cache gains no entry and K is not built
     hadamards = nets._hadamard_by_id.cache
     before = set(hadamards)
+    nets._characters.cache_clear()
     rng = np.random.default_rng(31)
     for m in [3, 4, 5]:  # other tests cache H for every n <= 2 net
         ctx = net_context(m)
@@ -346,6 +405,7 @@ def test_transforms_build_no_dense_matrix():
         target = build_net(net_context(2), int(rng.integers(1024)))
         reduce_dwf(w, reduction_map(net, target, keep))
     assert set(hadamards) == before
+    assert not nets._characters.cache
 
 
 def test_byte_bounded_cache_is_thread_safe(monkeypatch):

@@ -114,7 +114,7 @@ def test_reduction_map_is_the_paper_formula():
 
 def test_reduction_applies_p_without_storing_it():
     # reduce_dwf equals the dense P for every keep set at n <= 4 and one
-    # n = 5, k = 4 pair, and the map stores nothing larger than 4^k
+    # n = 5, k = 4 pair, and the map stores no array
     rng = np.random.default_rng(53)
     cases = [
         (n, kept) for n in [1, 2, 3, 4] for k in range(1, n + 1) for kept in combinations(range(n), k)
@@ -125,8 +125,7 @@ def test_reduction_applies_p_without_storing_it():
         rmap = reduction_map(src, tgt, keep)
         assert np.max(np.abs(reduce_dwf(w, rmap).w - rmap.p @ w.w)) < 1e-12
         stored = [a for a in vars(rmap).values() if isinstance(a, np.ndarray)]
-        assert len(stored) == 1 and max(a.size for a in stored) <= 4**keep.k
-        assert not any(a.flags.writeable for a in stored)
+        assert not stored
 
 
 def test_reduce_bell_state_is_uniform():
@@ -335,10 +334,10 @@ def test_concurrence_rejects_mixed_state():
 
 
 def test_dropped_reduction_maps_hold_no_memory():
-    # a map holds its keep set, both net ids and the shared table `words`, so
-    # 2,000 cold n = 3 -> 2 maps built and dropped leave the traced heap as it
-    # was; the nets' signs and kept cells are cached beforehand, so only the
-    # maps themselves are new
+    # a map holds its keep set and both net ids, so 2,000 cold n = 3 -> 2
+    # maps built and dropped leave the traced heap as it was; the nets'
+    # signs and kept cells are cached beforehand, so only the maps
+    # themselves are new
     keeps, sources = [(0, 1), (0, 2), (1, 2)], range(3000, 3667)
     for keep in keeps:
         _kept_cells(3, keep)
