@@ -171,24 +171,15 @@ class QuantumNet:
     The line of striation s through point alpha is the ray moved by
     T_alpha, so its projector is that striation's state
     `digit ^ flips[alpha]`, and A_alpha = sum of those N+1 projectors - I.
-    The transforms only need the id; `projectors`, `ops_array` and
-    `point_ops` (views into the stacked (N^2, N, N) `ops_array`) are built
-    on first access.
+    The transforms only need the id; `ops_array` and `point_ops` (views
+    into the stacked (N^2, N, N) `ops_array`) are built on first access;
+    only the oracle `verify.dense_projectors` builds the line projectors.
     """
 
     def __init__(self, ctx: NetContext, net_id: int) -> None:
         self.ctx = ctx
         self.net_id = net_id
         self.digits = digits_of(net_id, ctx.order)
-
-    @cached_property
-    def projectors(self) -> np.ndarray:
-        """(N+1, N, N, N) array: [s, c] is the rank-one projector of line c
-        of striation s, the ray's state moved by the line's smallest point."""
-        es = self.ctx.eigensystems
-        s = np.arange(self.order + 1)[:, None]
-        shifts = self.ctx.space.lines[:, :, 0]
-        return es.states[s, np.array(self.digits)[:, None] ^ es.flips[s, shifts]]
 
     @cached_property
     def ops_array(self) -> np.ndarray:

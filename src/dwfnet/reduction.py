@@ -10,7 +10,7 @@ of the DWF's memoised, net-independent Stokes grid S (this is T_k) and maps
 them back with `wigner._dwf_on`, the one place a net enters.  A map holds
 only its keep set and both net ids, checked against the keep set's sizes;
 the kept words are read from the keep set, no reduction matrix or sign grid
-is kept, and P is built on access for oracles.
+exists, and the oracles read P off `reduce_dwf` (`verify.reduction_matrix`).
 
 The marginal-sum and sign-kernel shortcuts for product-structured two-qubit
 nets are provided as an independent cross-check path, together with a
@@ -29,8 +29,8 @@ from .errors import (
     check_int,
 )
 from .ffield import check_degree
-from .nets import QuantumNet, _signs_by_id, check_net_id, detect_product_structure
-from .wigner import WignerFunction, _dwf_on, _layout, _sign_matrix, purity_from_dwf
+from .nets import QuantumNet, check_net_id, detect_product_structure
+from .wigner import WignerFunction, _dwf_on, purity_from_dwf
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class KeepSet:
 
     def __post_init__(self):
         n = check_degree(self.n)
+        if not np.iterable(self.keep):
+            raise ValidationError(f"keep {self.keep!r} is not a sequence of integers")
         keep = tuple(check_int(q, 0, n, "keep position") for q in self.keep)
         if not keep or list(keep) != sorted(set(keep)):
             raise ValidationError(f"keep positions {keep} must be non-empty, strictly increasing")
@@ -67,25 +69,17 @@ def _kept_cells(n: int, keep: tuple) -> np.ndarray:
 @dataclass(frozen=True)
 class ReductionMap:
     """A reduction as its keep set and both net ids, checked against the keep
-    set's n and k.  No matrix is stored; `p` builds P on access."""
+    set's n and k.  No matrix is stored or built; `reduce_dwf` applies it."""
 
     keep: KeepSet
     source_net: int
     target_net: int
 
     def __post_init__(self):
+        if not isinstance(self.keep, KeepSet):
+            raise ValidationError(f"keep {self.keep!r} is not a KeepSet")
         check_net_id(self.source_net, 2**self.keep.n)
         check_net_id(self.target_net, 2**self.keep.k)
-
-    @property
-    def p(self) -> np.ndarray:
-        """The dense 4^k x 4^n P for oracles, built on each access, never stored:
-        the Stokes-diagonal map with signs c_k c_n[words], column alpha at the
-        k-qubit [z, x] cell of point alpha's kept bits."""
-        k, n = self.keep.k, self.keep.n
-        words = _kept_cells(n, self.keep.keep)
-        y = _signs_by_id(k, self.target_net) * _signs_by_id(n, self.source_net).ravel()[words]
-        return _sign_matrix(y, np.searchsorted(words.ravel(), _layout(n)[2] & words[-1, -1]))
 
 
 def reduction_map(

@@ -189,16 +189,15 @@ def _dwf_on(net_id: int, s: np.ndarray) -> WignerFunction:
     return WignerFunction._built(k, net_id, _from_stokes(s * _signs_by_id(k, net_id), k))
 
 
-def _sign_matrix(y: np.ndarray, cells=None) -> np.ndarray:
+def _sign_matrix(y: np.ndarray) -> np.ndarray:
     """The dense matrix D = K^T diag(y) K / N^2 of a Stokes-diagonal map
-    with +-1 grid y[x, z], column alpha at flat [z, x] grid cell
-    `cells[alpha]` (default: each point's own cell).
+    with +-1 grid y[x, z], such as F or G.
     K's columns are characters of the XOR group of (x, z) masks, so
     D[beta, alpha] = D[beta ^ alpha, 0] = (K^T y)[beta ^ alpha] / N^2."""
     n = len(y).bit_length() - 1
     _, half, grid, _ = _layout(n)
     column = (half @ y @ half).ravel()  # `_from_stokes(y)` on the grid
-    return column[grid[:, None] ^ (grid if cells is None else cells)]
+    return column[grid[:, None] ^ grid]
 
 
 def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:

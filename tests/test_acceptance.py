@@ -99,20 +99,17 @@ def test_criterion_04_equivalence_classes():
 
 def test_criterion_05_reduction_oracle():
     # n in {2, 3}, every keep set, 25 states, >= 10 net pairs, tol 1e-10
-    results = [suite_reduction_oracle(n, states=25, pairs=10) for n in (2, 3)]
+    results = [suite_reduction_oracle(n) for n in (2, 3)]
     check_suites("criterion-05 reduction vs partial-trace oracle", results)
 
 
 def test_criterion_06_shortcut_reductions():
     # all 32 product nets, 50 states, tol 1e-10
-    check_suites(
-        "criterion-06 product-net shortcut reductions",
-        [suite_shortcut(2, states=50)],
-    )
+    check_suites("criterion-06 product-net shortcut reductions", [suite_shortcut(2)])
 
 
 def test_criterion_07_hadamard_bridge():
-    results = [suite_hadamard_bridge(n, states=50) for n in (1, 2, 3)]
+    results = [suite_hadamard_bridge(n) for n in (1, 2, 3)]
     check_suites("criterion-07 Hadamard bridge", results)
 
 
@@ -123,9 +120,7 @@ def test_criterion_08_conjugation_net_independent():
 
 def test_criterion_09_concurrence():
     # 100 pure states x 5 nets against the density-matrix value, tol 1e-8
-    check_suites(
-        "criterion-09 concurrence", [suite_concurrence(2, states=100, nets=5)]
-    )
+    check_suites("criterion-09 concurrence", [suite_concurrence(2)])
 
 
 def test_criterion_10_roundtrip_properties():

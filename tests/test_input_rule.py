@@ -1,9 +1,9 @@
 """The one integer rule (`errors.check_int`) at every public entry point.
 
 Each row of the rejection table is a bad qubit count, field element,
-exponent or point index that an entry point once accepted, or failed on
-later with a raw TypeError or IndexError.  Now each raises its entry
-point's own error class up front.
+exponent, point index or keep set that an entry point once accepted, or
+failed on later with a raw TypeError, AttributeError or IndexError.  Now
+each raises its entry point's own error class up front.
 """
 
 import numpy as np
@@ -83,6 +83,11 @@ REJECTED = [
     ("KeepSet-bool", lambda: KeepSet(True, (0,)), ValidationError),
     ("KeepSet-float", lambda: KeepSet(2.0, (0,)), ValidationError),
     ("KeepSet-six", lambda: KeepSet(6, (0,)), ValidationError),
+    # a keep that is not a sequence of integers, and a map's keep that is no KeepSet
+    ("KeepSet-keep-int", lambda: KeepSet(2, 0), ValidationError),
+    ("KeepSet-keep-none", lambda: KeepSet(2, None), ValidationError),
+    ("ReductionMap-keep-tuple", lambda: ReductionMap((0,), 0, 0), ValidationError),
+    ("ReductionMap-keep-none", lambda: ReductionMap(None, 0, 0), ValidationError),
     # net ids of a reduction map, checked against the keep set's sizes
     ("ReductionMap-source-bool", lambda: ReductionMap(KEEP, True, 0), ValidationError),
     ("ReductionMap-source-negative", lambda: ReductionMap(KEEP, -1, 0), ValidationError),

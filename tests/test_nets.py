@@ -34,7 +34,7 @@ from dwfnet import nets
 from dwfnet.wigner import WignerFunction
 from dwfnet.errors import UnsupportedDimensionError, ValidationError
 from dwfnet.translations import xz_tables
-from dwfnet.verify import dense_hadamard
+from dwfnet.verify import dense_hadamard, dense_projectors
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -116,24 +116,25 @@ def test_line_sum_recovers_projectors():
     ctx = net_context(1)
     for net_id in range(8):
         net = build_net(ctx, net_id)
-        assert net.projectors.shape == (3, 2, 2, 2)  # [striation, c]
+        projectors = dense_projectors(net)
+        assert projectors.shape == (3, 2, 2, 2)  # [striation, c]
         for sid, c in np.ndindex(3, 2):
             line = ctx.space.lines[sid, c]
             s = sum(net.point_ops[alpha] for alpha in line) / 2.0
-            assert np.allclose(s, net.projectors[sid, c])
+            assert np.allclose(s, projectors[sid, c])
 
 
 def test_covariance_of_line_assignment():
     # each non-ray line's state is the ray state conjugated by the
     # representative shift translation
     ctx = net_context(2)
-    net = build_net(ctx, 123)
+    projectors = dense_projectors(build_net(ctx, 123))
     for sid, lines in enumerate(ctx.space.lines):
-        ray_state = net.projectors[sid, 0]
+        ray_state = projectors[sid, 0]
         for c in range(1, 4):
             t = ctx.table.matrices[lines[c, 0]]  # the line's smallest point
             moved = t @ ray_state @ t.conj().T
-            assert np.allclose(moved, net.projectors[sid, c])
+            assert np.allclose(moved, projectors[sid, c])
 
 
 def test_bad_net_id():
@@ -376,10 +377,10 @@ def test_transforms_build_no_point_operators():
     convert_net(w, build_net(ctx2, 12))
     spinflip_matrix(net)
     concurrence_from_dwf(w, net)
-    assert not {"ops_array", "point_ops", "projectors"} & set(vars(net))
+    assert not {"ops_array", "point_ops"} & set(vars(net))
     # built on first access
     assert np.allclose(net.ops_array.sum(axis=0), 4 * np.eye(4), atol=1e-12)
-    assert net.point_ops[3] is not None and "projectors" not in vars(net)
+    assert net.point_ops[3] is not None
 
 
 def test_transforms_build_no_dense_matrix():

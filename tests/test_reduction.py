@@ -30,7 +30,13 @@ from dwfnet.errors import (
 )
 from dwfnet.nets import _signs_by_id
 from dwfnet.reduction import _kept_cells
-from dwfnet.verify import dense_hadamard, partial_trace, selection_matrix, suite_reduction_oracle
+from dwfnet.verify import (
+    dense_hadamard,
+    partial_trace,
+    reduction_matrix,
+    selection_matrix,
+    suite_reduction_oracle,
+)
 
 
 def dwf(rho, n, net_id):
@@ -95,8 +101,8 @@ def seeded_net(n, rng):
 
 
 def test_reduction_map_is_the_paper_formula():
-    # P = H_k^T T_k H_n / 4^k bit for bit, with H from the point-operator
-    # oracle for every keep set at n <= 4
+    # P read off reduce_dwf is H_k^T T_k H_n / 4^k bit for bit, with H from
+    # the point-operator oracle for every keep set at n <= 4
     rng = np.random.default_rng(47)
     for n in [1, 2, 3, 4]:
         src = seeded_net(n, rng)
@@ -105,25 +111,28 @@ def test_reduction_map_is_the_paper_formula():
             for kept in combinations(range(n), k):
                 keep, tgt = KeepSet(n, kept), seeded_net(k, rng)
                 formula = dense_hadamard(tgt).T @ selection_matrix(keep) @ h_n / 4**k
-                assert np.array_equal(reduction_map(src, tgt, keep).p, formula)
+                assert np.array_equal(reduction_matrix(reduction_map(src, tgt, keep)), formula)
     src, tgt, keep = seeded_net(5, rng), seeded_net(4, rng), KeepSet(5, (0, 1, 3, 4))
     h_n, h_k = hadamard_matrix(src).h, hadamard_matrix(tgt).h
     formula = h_k.T @ selection_matrix(keep) @ h_n / 4**4
-    assert np.array_equal(reduction_map(src, tgt, keep).p, formula)
+    assert np.array_equal(reduction_matrix(reduction_map(src, tgt, keep)), formula)
 
 
 def test_reduction_applies_p_without_storing_it():
-    # reduce_dwf equals the dense P for every keep set at n <= 4 and one
-    # n = 5, k = 4 pair, and the map stores no array
+    # reduce_dwf equals the paper formula P = H_k^T T_k H_n / 4^k, with H
+    # from the point-operator oracle, for every keep set at n <= 4, and with
+    # the library H for one n = 5, k = 4 pair; the map stores no array
     rng = np.random.default_rng(53)
     cases = [
         (n, kept) for n in [1, 2, 3, 4] for k in range(1, n + 1) for kept in combinations(range(n), k)
     ]
     for n, kept in cases + [(5, (0, 2, 3, 4))]:
         src, tgt, keep = seeded_net(n, rng), seeded_net(len(kept), rng), KeepSet(n, kept)
+        hadamard = dense_hadamard if n <= 4 else (lambda net: hadamard_matrix(net).h)
+        formula = hadamard(tgt).T @ selection_matrix(keep) @ hadamard(src) / 4**keep.k
         w = dwf_from_rho(random_density(n, rng), src)
         rmap = reduction_map(src, tgt, keep)
-        assert np.max(np.abs(reduce_dwf(w, rmap).w - rmap.p @ w.w)) < 1e-12
+        assert np.max(np.abs(reduce_dwf(w, rmap).w - formula @ w.w)) < 1e-12
         stored = [a for a in vars(rmap).values() if isinstance(a, np.ndarray)]
         assert not stored
 
@@ -193,7 +202,7 @@ def test_reduce_three_qubits():
 
 def test_reduction_oracle_suite_at_four_qubits():
     # n=4 has 16^17 nets, more than a 64-bit integer can index
-    result = suite_reduction_oracle(4, states=2, pairs=1)
+    result = suite_reduction_oracle(4)
     assert result.ok, result.failures[:3]
     assert result.checks > 0
 
@@ -227,7 +236,7 @@ def test_convert_net_preserves_state():
 
 
 def test_convert_net_matches_keep_all_map_and_direct_transform():
-    # the sign-vector route against the dense keep-all reduction map and
+    # the sign-vector route against the keep-all reduction map and
     # against transforming the state on the target net directly
     rng = np.random.default_rng(41)
     for m in [1, 2, 3, 4, 5]:
