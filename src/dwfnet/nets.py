@@ -203,7 +203,7 @@ class QuantumNet:
         return self.ctx.n_qubits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardMatrix:
     """The +-1 matrix with H[j, alpha] = Tr(Sigma_j A_alpha) for one net."""
 

@@ -1,8 +1,11 @@
 """Registry of invariant suites; single source of truth for verification.
 
-Each suite callable takes the qubit count and returns a SuiteResult.  The
-CLI `verify` subcommand and the acceptance tests both run these, so the
-numbers asserted here (sample sizes, tolerances) are the contract.
+Each suite is registered once by `_suite` with its name and the qubit
+counts it is defined at; the registered callable takes the qubit count and
+returns a SuiteResult.  The CLI `verify` subcommand and the acceptance tests
+both run these, so the numbers asserted here (sample sizes, tolerances) are
+the contract.  Every tolerance comparison goes through
+`SuiteResult.expect_close`; `expect` keeps the exact checks.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import UnsupportedDimensionError, ValidationError
-from .ffield import GF2m
+from .ffield import SUPPORTED_DEGREES, GF2m, check_degree
 from .nets import (
     build_net,
     classify_nets,
@@ -23,7 +26,13 @@ from .nets import (
     net_context,
 )
 from .phasespace import PhaseSpace
-from .reduction import KeepSet, shortcut_reduce, reduce_dwf, reduction_map
+from .reduction import (
+    KeepSet,
+    concurrence_from_dwf,
+    reduce_dwf,
+    reduction_map,
+    shortcut_reduce,
+)
 from .stokes import (
     conjugate_dwf,
     conjugation_matrix,
@@ -65,10 +74,49 @@ class SuiteResult:
         if not condition.all():
             self.failures.append(message)
 
+    def expect_close(self, residual, tol: float, family: str, where: str = "") -> None:
+        """Count each entry of `residual` as one check, passed when below `tol`
+        (a NaN fails); a failure names `where`, the family, the worst residual
+        and `tol`."""
+        residual = np.asarray(residual)
+        self.checks += residual.size
+        if not (residual < tol).all():
+            self.failures.append(f"{where}{family}: worst {np.max(residual):.3g}, tol {tol:g}")
+
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         extra = "" if self.ok else f" [{'; '.join(self.failures[:3])}]"
         return f"{status} {self.name} (n={self.n}): {self.checks} checks{extra}"
+
+
+SUITES: dict = {}  # name -> suite, filled by `_suite` in declaration order
+
+
+def _suite(name: str, sizes=SUPPORTED_DEGREES):
+    """Register `body(r, n)` as the suite `name`, defined at the qubit counts
+    `sizes` (default: every size the field takes).  The registered callable
+    takes n, refuses an undeclared n before any work, and returns the
+    SuiteResult `r` that the body filled."""
+
+    def register(body):
+        def suite(n: int) -> SuiteResult:
+            if n not in suite.sizes:
+                raise UnsupportedDimensionError(f"suite {name} not defined at n={n}")
+            r = SuiteResult(name, n)
+            body(r, n)
+            return r
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        suite.__doc__, suite.sizes = body.__doc__, frozenset(sizes)
+        SUITES[name] = suite
+        return suite
+
+    return register
+
+
+def _gap(a, b, axis=None):
+    """max |a - b|, over `axis` (default: all entries)."""
+    return np.abs(a - b).max(axis=axis)
 
 
 def _net_ids(ctx, sample_large: int = 100):
@@ -76,8 +124,8 @@ def _net_ids(ctx, sample_large: int = 100):
     return list(enumerate_nets(ctx, sample=None if ctx.order <= 4 else sample_large))
 
 
-def suite_field_axioms(n: int) -> SuiteResult:
-    r = SuiteResult("field-axioms", n)
+@_suite("field-axioms")
+def suite_field_axioms(r: SuiteResult, n: int) -> None:
     f = GF2m(n)
     mul, x = f.products, np.arange(f.order)
     y, z = x[:, None], x[:, None, None]
@@ -87,22 +135,17 @@ def suite_field_axioms(n: int) -> SuiteResult:
     r.expect(mul[mul[z, y], x] == mul[z, mul[y, x]], "mul not associative")
     for a in x[1:]:
         r.expect(f.mul(a, f.inv(a)) == 1, f"inverse fails at {a}")
-    r.expect(
-        f.traces[mul[np.ix_(f.basis, f.dual_basis)]] == np.eye(f.m),
-        "basis duality fails",
-    )
+    r.expect(f.traces[mul[np.ix_(f.basis, f.dual_basis)]] == np.eye(f.m), "basis duality fails")
     dot = f.expansions() @ f.expansions(dual=True).T % 2
     r.expect(dot == f.traces[mul], "trace pairing fails")
     r.expect([f.compose(f.expand(a)) == a for a in x], "primal round trip fails")
     r.expect(
-        [f.compose(f.expand(a, dual=True), dual=True) == a for a in x],
-        "dual round trip fails",
+        [f.compose(f.expand(a, dual=True), dual=True) == a for a in x], "dual round trip fails"
     )
-    return r
 
 
-def suite_phase_geometry(n: int) -> SuiteResult:
-    r = SuiteResult("phase-geometry", n)
+@_suite("phase-geometry")
+def suite_phase_geometry(r: SuiteResult, n: int) -> None:
     space = PhaseSpace(GF2m(n))
     nn = space.order
     r.expect(len(space.lines) == nn + 1, "striation count != N+1")
@@ -114,16 +157,11 @@ def suite_phase_geometry(n: int) -> SuiteResult:
     i, j = np.triu_indices(len(common), 1)
     parallel = i // nn == j // nn
     r.expect(common[i[parallel], j[parallel]] == 0, "parallel lines intersect")
-    r.expect(
-        common[i[~parallel], j[~parallel]] == 1,
-        "cross-striation lines miss unique point",
-    )
+    r.expect(common[i[~parallel], j[~parallel]] == 1, "cross-striation lines miss unique point")
     for alpha in range(nn * nn):
         through = space.lines_through(alpha)
         r.expect(len(through) == nn + 1, f"point {alpha} not on N+1 lines")
-        r.expect(
-            (through == alpha).any(axis=1).all(), f"lines_through wrong at {alpha}"
-        )
+        r.expect((through == alpha).any(axis=1).all(), f"lines_through wrong at {alpha}")
     points = np.arange(nn * nn)
     for lines, offsets in zip(space.lines, space.offsets):
         # shifted[c, beta] is line c translated by beta, sorted; compare it
@@ -133,7 +171,6 @@ def suite_phase_geometry(n: int) -> SuiteResult:
             (shifted == lines[offsets[shifted[..., 0]]]).all(axis=-1),
             "translated line leaves its striation",
         )
-    return r
 
 
 def dense_ray_signs(es, table) -> np.ndarray:
@@ -143,54 +180,46 @@ def dense_ray_signs(es, table) -> np.ndarray:
     return np.einsum("sdab,skba->sdk", es.states, words, optimize=True)
 
 
-def suite_translations(n: int) -> SuiteResult:
-    r = SuiteResult("translations", n)
+@_suite("translations")
+def suite_translations(r: SuiteResult, n: int) -> None:
     ctx = net_context(n)
     table = ctx.table
     nn = ctx.order
     es = ctx.eigensystems
     same = (dense_ray_signs(es, table) == es.signs).all(axis=(1, 2))
     for s in range(nn + 1):
-        r.expect(same[s], f"striation {s} ray word signs differ from the states")
+        at = f"striation {s}: "
+        r.expect(same[s], f"{at}ray word signs differ from the states")
         ops = table.matrices[es.rays[s]]
         u, v = (ops[k] for k in np.triu_indices(nn, 1))  # every pair once
-        r.expect(
-            np.abs(u @ v - v @ u).max(axis=(1, 2)) < 1e-10,
-            f"striation {s} ops do not commute",
-        )
+        r.expect_close(_gap(u @ v, v @ u, (1, 2)), 1e-10, "ops do not commute", at)
         moved = ops @ es.states[s, :, None] @ ops.conj().transpose(0, 2, 1)  # [state, op]
-        r.expect(
-            np.abs(moved - es.states[s, :, None]).max(axis=(2, 3)) < 1e-10,
-            f"striation {s} state not invariant",
+        r.expect_close(
+            _gap(moved, es.states[s, :, None], (2, 3)), 1e-10, "state not invariant", at
         )
     for a, b in combinations(range(nn + 1), 2):
         overlaps = np.einsum("aij,bji->ab", es.states[a], es.states[b]).real
-        r.expect(np.abs(overlaps - 1.0 / nn) < 1e-10, "bases not mutually unbiased")
+        r.expect_close(np.abs(overlaps - 1.0 / nn), 1e-10, "bases not mutually unbiased")
     points = np.arange(nn * nn)
     for p1, t in enumerate(table.matrices):
         prod = t @ table.matrices
         target = table.matrices[p1 ^ points]
-        r.expect(
-            (np.abs(prod - target).max(axis=(1, 2)) < 1e-12)
-            | (np.abs(prod + target).max(axis=(1, 2)) < 1e-12),
+        r.expect_close(
+            np.minimum(_gap(prod, target, (1, 2)), _gap(prod, -target, (1, 2))),
+            1e-12,
             "translations do not compose up to sign",
         )
-    return r
 
 
-def suite_net_traces(n: int) -> SuiteResult:
-    r = SuiteResult("net-traces", n)
+@_suite("net-traces")
+def suite_net_traces(r: SuiteResult, n: int) -> None:
     ctx = net_context(n)
     nn = ctx.order
     eye = nn * np.eye(nn * nn)
     for net_id in _net_ids(ctx):
         ops = build_net(ctx, net_id).ops_array
         gram = np.einsum("aij,bji->ab", ops, ops, optimize=True)
-        r.expect(
-            np.max(np.abs(gram - eye)) < 1e-9,
-            f"net {net_id} violates Tr(A_a A_b) = N delta",
-        )
-    return r
+        r.expect_close(_gap(gram, eye), 1e-9, "Tr(A_a A_b) != N delta", f"net {net_id}: ")
 
 
 def dense_projectors(net) -> np.ndarray:
@@ -202,9 +231,9 @@ def dense_projectors(net) -> np.ndarray:
     return es.states[s, np.array(net.digits)[:, None] ^ es.flips[s, shifts]]
 
 
-def suite_net_structure(n: int) -> SuiteResult:
+@_suite("net-structure")
+def suite_net_structure(r: SuiteResult, n: int) -> None:
     """Covariance of line projectors and the line-sum identity."""
-    r = SuiteResult("net-structure", n)
     ctx = net_context(n)
     space, table = ctx.space, ctx.table
     nn = ctx.order
@@ -214,62 +243,47 @@ def suite_net_structure(n: int) -> SuiteResult:
     striations = np.arange(nn + 1)[:, None]
     first = space.lines[:, :, 0]
     for net_id in ids:
+        at = f"net {net_id}: "
         net = build_net(ctx, net_id)
         q = dense_projectors(net)  # [s, c]: the projector of line c of striation s
+        # one check per line, of its trace and of its idempotence
         r.expect(
             (np.abs(np.trace(q, axis1=2, axis2=3).real - 1.0) < 1e-10)
             & (np.abs(q @ q - q).max(axis=(2, 3)) < 1e-9),
-            f"net {net_id} line projector not a rank-one projector",
+            f"{at}line projector not a rank-one projector",
         )
         sigma = np.array([net.ops_array[lines].sum(axis=1) for lines in space.lines])
-        r.expect(
-            np.abs(sigma - nn * q).max(axis=(2, 3)) < 1e-9,
-            f"net {net_id} violates line-sum identity",
-        )
+        r.expect_close(_gap(sigma, nn * q, (2, 3)), 1e-9, "violates line-sum identity", at)
         for beta, t in enumerate(table.matrices):
             # T_beta moves line c onto the line through its first point + beta
             lhs = q[striations, space.offsets[striations, first ^ beta]]
-            r.expect(
-                np.abs(lhs - t @ q @ t.conj().T).max(axis=(2, 3)) < 1e-9,
-                f"net {net_id} violates translational covariance",
+            r.expect_close(
+                _gap(lhs, t @ q @ t.conj().T, (2, 3)), 1e-9, "violates translational covariance", at
             )
         total = net.ops_array.sum(axis=0)
-        r.expect(
-            np.max(np.abs(total - nn * np.eye(nn))) < 1e-9,
-            f"net {net_id} violates sum A = N I",
-        )
-    return r
+        r.expect_close(_gap(total, nn * np.eye(nn)), 1e-9, "violates sum A = N I", at)
 
 
-def suite_net_census(n: int) -> SuiteResult:
-    r = SuiteResult("net-census", n)
+@_suite("net-census", sizes={1, 2})  # full enumeration and classification need N <= 4
+def suite_net_census(r: SuiteResult, n: int) -> None:
     ctx = net_context(n)
     nn = ctx.order
-    if nn > 4:
-        raise UnsupportedDimensionError("census suite is defined for N <= 4")
     ids = list(enumerate_nets(ctx))
     r.expect(len(ids) == nn ** (nn + 1), "net count != N^(N+1)")
     orbits = classify_nets(ctx)
-    r.expect(
-        len(orbits) == nn ** (nn - 1), f"orbit count {len(orbits)} != N^(N-1)"
-    )
-    r.expect(
-        all(len(v) == nn * nn for v in orbits.values()),
-        "orbit sizes != N^2",
-    )
+    r.expect(len(orbits) == nn ** (nn - 1), f"orbit count {len(orbits)} != N^(N-1)")
+    r.expect(all(len(v) == nn * nn for v in orbits.values()), "orbit sizes != N^2")
     if n == 2:
         forms = {"eq6": 0, "eq7": 0, "none": 0}
         for net_id in ids:
             forms[detect_product_structure(build_net(ctx, net_id)).form] += 1
         r.expect(
-            forms["eq6"] == 16 and forms["eq7"] == 16,
-            f"product census {forms} != 16/16",
+            forms["eq6"] == 16 and forms["eq7"] == 16, f"product census {forms} != 16/16"
         )
-    return r
 
 
-def suite_wigner_roundtrip(n: int) -> SuiteResult:
-    r = SuiteResult("wigner-roundtrip", n)
+@_suite("wigner-roundtrip")
+def suite_wigner_roundtrip(r: SuiteResult, n: int) -> None:
     ctx = net_context(n)
     nn = ctx.order
     rng = np.random.default_rng(SEED)
@@ -278,51 +292,38 @@ def suite_wigner_roundtrip(n: int) -> SuiteResult:
         net_ids = net_ids[:: len(net_ids) // 64]
     states = [random_density(n, rng) for _ in range(10)]
     for net_id in net_ids:
+        at = f"net {net_id}: "
         net = build_net(ctx, net_id)
         q = dense_projectors(net)
         for st in states:
             w = dwf_from_rho(st, net)
-            r.expect(abs(w.w.sum() - 1.0) < 1e-10, "normalization fails")
-            r.expect(
-                np.max(np.abs(w.w - dense_dwf(st, net))) < 1e-12,
-                f"net {net_id}: W != (1/N) Tr(rho A_alpha)",
-            )
+            r.expect_close(abs(w.w.sum() - 1.0), 1e-10, "normalization fails")
+            r.expect_close(_gap(w.w, dense_dwf(st, net)), 1e-12, "W != (1/N) Tr(rho A_alpha)", at)
             back = rho_from_dwf(w, net)
-            r.expect(
-                np.max(np.abs(back.rho - dense_rho(w, net))) < 1e-12,
-                f"net {net_id}: rho != sum_alpha w_alpha A_alpha",
+            r.expect_close(
+                _gap(back.rho, dense_rho(w, net)), 1e-12, "rho != sum_alpha w_alpha A_alpha", at
             )
-            r.expect(
-                np.max(np.abs(back.rho - st.rho)) < 1e-10, "round trip fails"
-            )
+            r.expect_close(_gap(back.rho, st.rho), 1e-10, "round trip fails")
             true_purity = float(np.trace(st.rho @ st.rho).real)
-            r.expect(
-                abs(purity_from_dwf(w) - true_purity) < 1e-10,
-                "purity identity fails",
-            )
+            r.expect_close(abs(purity_from_dwf(w) - true_purity), 1e-10, "purity identity fails")
             probs = np.array(
                 [[line_probability(w, ln) for ln in lines] for lines in ctx.space.lines]
             )
-            r.expect(
-                np.abs(probs.sum(axis=1) - 1.0) < 1e-10,
-                "striation probabilities do not sum to 1",
+            r.expect_close(
+                np.abs(probs.sum(axis=1) - 1.0), 1e-10, "striation probabilities do not sum to 1"
             )
             direct = np.einsum("scab,ba->sc", q, st.rho).real
-            r.expect(np.abs(probs - direct) < 1e-10, "line probability mismatch")
+            r.expect_close(np.abs(probs - direct), 1e-10, "line probability mismatch")
     net = build_net(ctx, net_ids[0])
     a, b = states[0], states[1]
     for lam in (0.25, 0.5, 0.9):
         mix = DensityState(n, lam * a.rho + (1 - lam) * b.rho)
         blend = lam * dwf_from_rho(a, net).w + (1 - lam) * dwf_from_rho(b, net).w
-        r.expect(
-            np.max(np.abs(dwf_from_rho(mix, net).w - blend)) < 1e-12,
-            "transform not linear",
-        )
+        r.expect_close(_gap(dwf_from_rho(mix, net).w, blend), 1e-12, "transform not linear")
     for _ in range(10):
         pure = random_pure(n, rng)
         w = dwf_from_rho(pure, build_net(ctx, net_ids[-1]))
-        r.expect(abs(purity_from_dwf(w) - 1.0) < 1e-9, "pure state purity != 1")
-    return r
+        r.expect_close(abs(purity_from_dwf(w) - 1.0), 1e-9, "pure state purity != 1")
 
 
 def dense_dwf(state, net) -> np.ndarray:
@@ -361,69 +362,50 @@ def dense_spinflip(net) -> np.ndarray:
     return np.einsum("bij,aji->ba", flipped, net.ops_array, optimize=True) / net.order
 
 
-def suite_hadamard_bridge(n: int) -> SuiteResult:
-    r = SuiteResult("hadamard-bridge", n)
+@_suite("hadamard-bridge")
+def suite_hadamard_bridge(r: SuiteResult, n: int) -> None:
     ctx = net_context(n)
     nn = ctx.order
     rng = np.random.default_rng(SEED)
     fixed = [random_density(n, rng) for _ in range(50)]
     stokes = [stokes_from_rho(st) for st in fixed]
     for st, s in zip(fixed, stokes):
-        r.expect(
-            np.max(np.abs(s.s - dense_stokes(st))) < 1e-12, "S != Tr(rho Sigma_j)"
-        )
+        r.expect_close(_gap(s.s, dense_stokes(st)), 1e-12, "S != Tr(rho Sigma_j)")
     eye = (nn * nn) * np.eye(nn * nn, dtype=np.int64)
     for net_id in _net_ids(ctx):
+        at = f"net {net_id}: "
         net = build_net(ctx, net_id)
         h = hadamard_matrix(net)
-        r.expect(
-            np.array_equal(h.h, dense_hadamard(net)),
-            f"net {net_id}: H != Tr(Sigma_j A_alpha)",
-        )
-        r.expect(
-            np.array_equal(h.h @ h.h.T, eye), f"net {net_id}: H H^T != N^2 I"
-        )
+        r.expect(np.array_equal(h.h, dense_hadamard(net)), f"{at}H != Tr(Sigma_j A_alpha)")
+        r.expect(np.array_equal(h.h @ h.h.T, eye), f"{at}H H^T != N^2 I")
         for st, s in zip(fixed, stokes):
             w = dwf_from_rho(st, net)
-            r.expect(
-                np.max(np.abs(h.h @ w.w - s.s)) < 1e-9,
-                f"net {net_id}: S != H W",
-            )
-            r.expect(
-                np.max(np.abs(h.h.T @ s.s / 4**n - w.w)) < 1e-9,
-                f"net {net_id}: W != H^-1 S",
-            )
-    return r
+            r.expect_close(_gap(h.h @ w.w, s.s), 1e-9, "S != H W", at)
+            r.expect_close(_gap(h.h.T @ s.s / 4**n, w.w), 1e-9, "W != H^-1 S", at)
 
 
-def suite_conjugation(n: int) -> SuiteResult:
-    r = SuiteResult("conjugation", n)
+@_suite("conjugation")
+def suite_conjugation(r: SuiteResult, n: int) -> None:
     ctx = net_context(n)
     rng = np.random.default_rng(SEED)
     eye = np.eye(4**n)
     reference = None
     for net_id in _net_ids(ctx):
+        at = f"net {net_id}: "
         net = build_net(ctx, net_id)
         f = conjugation_matrix(net)
         g = spinflip_matrix(net)
-        r.expect(
-            np.array_equal(f, dense_conjugation(net)),
-            f"net {net_id}: F != Tr(conj(A_b) A_a) / N",
-        )
-        r.expect(
-            np.array_equal(g, dense_spinflip(net)),
-            f"net {net_id}: G != its sigma_y form",
-        )
+        r.expect(np.array_equal(f, dense_conjugation(net)), f"{at}F != Tr(conj(A_b) A_a) / N")
+        r.expect(np.array_equal(g, dense_spinflip(net)), f"{at}G != its sigma_y form")
         if reference is None:
             reference = f
-        r.expect(np.array_equal(f, reference), f"net {net_id}: F differs between nets")
-        r.expect(np.max(np.abs(f @ f - eye)) < 1e-10, "F^2 != I")
-        r.expect(np.max(np.abs(g @ g - eye)) < 1e-10, "G^2 != I")
+        r.expect(np.array_equal(f, reference), f"{at}F differs between nets")
+        r.expect_close(_gap(f @ f, eye), 1e-10, "F^2 != I")
+        r.expect_close(_gap(g @ g, eye), 1e-10, "G^2 != I")
         rows = np.argmax(np.abs(g @ f.T), axis=1)
         r.expect(
-            np.array_equal(np.sort(rows), np.arange(4**n))
-            and np.array_equal(g, f[rows]),
-            f"net {net_id}: G is not a row permutation of F",
+            np.array_equal(np.sort(rows), np.arange(4**n)) and np.array_equal(g, f[rows]),
+            f"{at}G is not a row permutation of F",
         )
     net = build_net(ctx, _net_ids(ctx)[0])
     u = pauli_words(n)[int("2" * n, 4)]
@@ -431,13 +413,9 @@ def suite_conjugation(n: int) -> SuiteResult:
         st = random_density(n, rng)
         w = dwf_from_rho(st, net)
         wc = dwf_from_rho(DensityState(n, st.rho.conj()), net).w
-        r.expect(np.max(np.abs(conjugate_dwf(w).w - wc)) < 1e-10, "F W != W(conj rho)")
-        flipped = DensityState(n, u @ st.rho.conj() @ u)
-        r.expect(
-            np.max(np.abs(spinflip_dwf(w).w - dwf_from_rho(flipped, net).w)) < 1e-10,
-            "G W != W(spin-flipped rho)",
-        )
-    return r
+        r.expect_close(_gap(conjugate_dwf(w).w, wc), 1e-10, "F W != W(conj rho)")
+        flipped = dwf_from_rho(DensityState(n, u @ st.rho.conj() @ u), net).w
+        r.expect_close(_gap(spinflip_dwf(w).w, flipped), 1e-10, "G W != W(spin-flipped rho)")
 
 
 def partial_trace(rho: np.ndarray, n: int, keep) -> np.ndarray:
@@ -486,8 +464,8 @@ def _random_net(ctx, rng):
     return build_net(ctx, id_of([int(d) for d in digits], ctx.order))
 
 
-def suite_reduction_oracle(n: int) -> SuiteResult:
-    r = SuiteResult("reduction-oracle", n)
+@_suite("reduction-oracle")
+def suite_reduction_oracle(r: SuiteResult, n: int) -> None:
     ctx = net_context(n)
     rng = np.random.default_rng(SEED)
     fixed = [random_density(n, rng) for _ in range(25)]
@@ -497,17 +475,12 @@ def suite_reduction_oracle(n: int) -> SuiteResult:
             src = _random_net(ctx, rng)
             tgt = _random_net(tctx, rng)
             rmap = reduction_map(src, tgt, keep)
+            at = f"keep={keep.keep} nets=({src.net_id},{tgt.net_id}): "
             for st in fixed:
                 w = reduce_dwf(dwf_from_rho(st, src), rmap)
-                reduced = DensityState(
-                    keep.k, partial_trace(st.rho, n, keep.keep)
-                )
+                reduced = DensityState(keep.k, partial_trace(st.rho, n, keep.keep))
                 oracle = dwf_from_rho(reduced, tgt)
-                r.expect(
-                    np.max(np.abs(w.w - oracle.w)) < 1e-10,
-                    f"keep={keep.keep} nets=({src.net_id},{tgt.net_id}): "
-                    "oracle mismatch",
-                )
+                r.expect_close(_gap(w.w, oracle.w), 1e-10, "oracle mismatch", at)
     # composition and net-conversion consistency
     if n >= 2:
         src = _random_net(ctx, rng)
@@ -520,31 +493,24 @@ def suite_reduction_oracle(n: int) -> SuiteResult:
         for st in fixed[:5]:
             w = dwf_from_rho(st, src)
             stepped = reduce_dwf(reduce_dwf(w, two_step_a), two_step_b)
-            r.expect(
-                np.max(np.abs(stepped.w - reduce_dwf(w, direct).w)) < 1e-10,
+            r.expect_close(
+                _gap(stepped.w, reduce_dwf(w, direct).w),
+                1e-10,
                 "nested reduction differs from direct reduction",
             )
     other = _random_net(ctx, rng)
     src = _random_net(ctx, rng)
     keep_all = KeepSet(n, tuple(range(n)))
+    eye = np.eye(4**n)
     there = reduction_matrix(reduction_map(src, other, keep_all))
     back = reduction_matrix(reduction_map(other, src, keep_all))
-    r.expect(
-        np.max(np.abs(back @ there - np.eye(4**n))) < 1e-9,
-        "net conversion round trip is not the identity",
-    )
+    r.expect_close(_gap(back @ there, eye), 1e-9, "net conversion round trip is not the identity")
     ident = reduction_matrix(reduction_map(src, src, keep_all))
-    r.expect(
-        np.max(np.abs(ident - np.eye(4**n))) < 1e-12,
-        "keep-all same-net map is not the identity",
-    )
-    return r
+    r.expect_close(_gap(ident, eye), 1e-12, "keep-all same-net map is not the identity")
 
 
-def suite_shortcut(n: int) -> SuiteResult:
-    if n != 2:
-        raise UnsupportedDimensionError("the product-net shortcut needs n=2")
-    r = SuiteResult("shortcut-reduction", n)
+@_suite("shortcut-reduction", sizes={2})  # the product-net shortcut needs n = 2
+def suite_shortcut(r: SuiteResult, n: int) -> None:
     ctx = net_context(2)
     rng = np.random.default_rng(SEED)
     fixed = [random_density(2, rng) for _ in range(50)]
@@ -560,26 +526,19 @@ def suite_shortcut(n: int) -> SuiteResult:
             ("A", report.factor_a_net, (0,)),
             ("B", report.factor_b_conj_net, (1,)),
         ):
-            rmap = reduction_map(
-                net, build_net(net_context(1), tgt_id), KeepSet(2, keep)
-            )
+            rmap = reduction_map(net, build_net(net_context(1), tgt_id), KeepSet(2, keep))
             for st in fixed:
                 w = dwf_from_rho(st, net)
                 shortcut = shortcut_reduce(w, net, which)
+                # one check of the target net and the values together
                 r.expect(
-                    shortcut.net_id == tgt_id
-                    and np.max(np.abs(shortcut.w - reduce_dwf(w, rmap).w)) < 1e-10,
+                    shortcut.net_id == tgt_id and _gap(shortcut.w, reduce_dwf(w, rmap).w) < 1e-10,
                     f"net {net.net_id} subsystem {which}: shortcut disagrees",
                 )
-    return r
 
 
-def suite_concurrence(n: int) -> SuiteResult:
-    if n != 2:
-        raise UnsupportedDimensionError("concurrence is defined for n=2")
-    from .reduction import concurrence_from_dwf
-
-    r = SuiteResult("concurrence", n)
+@_suite("concurrence", sizes={2})  # two-qubit concurrence
+def suite_concurrence(r: SuiteResult, n: int) -> None:
     ctx = net_context(2)
     rng = np.random.default_rng(SEED)
     for _ in range(100):
@@ -590,43 +549,21 @@ def suite_concurrence(n: int) -> SuiteResult:
         for _ in range(5):
             net = build_net(ctx, int(rng.integers(0, 1024)))
             c = concurrence_from_dwf(dwf_from_rho(st, net), net)
-            r.expect(
-                abs(c - exact) < 1e-8,
-                f"net {net.net_id}: concurrence {c} != exact value {exact}",
+            r.expect_close(
+                abs(c - exact), 1e-8, "concurrence != exact value", f"net {net.net_id}: "
             )
-    return r
-
-
-SUITES = {
-    "field-axioms": suite_field_axioms,
-    "phase-geometry": suite_phase_geometry,
-    "translations": suite_translations,
-    "net-traces": suite_net_traces,
-    "net-structure": suite_net_structure,
-    "net-census": suite_net_census,
-    "wigner-roundtrip": suite_wigner_roundtrip,
-    "hadamard-bridge": suite_hadamard_bridge,
-    "conjugation": suite_conjugation,
-    "reduction-oracle": suite_reduction_oracle,
-    "shortcut-reduction": suite_shortcut,
-    "concurrence": suite_concurrence,
-}
-
-# suites that only make sense at specific sizes
-_RESTRICTED = {"net-census": {1, 2}, "shortcut-reduction": {2}, "concurrence": {2}}
 
 
 def run_suites(n: int, names=None) -> list:
-    """Run the named suites (default: all applicable at this n)."""
-    selected = list(SUITES) if names is None else list(names)
+    """Run the named suites (default: every suite declared at this n); a named
+    suite refuses an n it is not declared at."""
+    if names is None:
+        # no suite is declared outside the field: refuse such an n as GF2m(n) does
+        check_degree(n, "extension degree m", UnsupportedDimensionError)
+        names = [name for name, suite in SUITES.items() if n in suite.sizes]
     results = []
-    for name in selected:
+    for name in names:
         if name not in SUITES:
             raise ValidationError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-        allowed = _RESTRICTED.get(name)
-        if allowed is not None and n not in allowed:
-            if names is not None:
-                raise UnsupportedDimensionError(f"suite {name} not defined at n={n}")
-            continue
         results.append(SUITES[name](n))
     return results

@@ -47,14 +47,39 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _field_array(value, key: str, dtype: type) -> np.ndarray:
+    """A caller's `value` for field `key` as a fresh `dtype` (float or complex)
+    array, refusing ragged or non-numeric input (booleans and numeric strings
+    too) and complex input for a real field."""
+    try:
+        a = np.array(value)
+    except ValueError as exc:
+        raise ValidationError(f'field "{key}" must be a rectangular array') from exc
+    if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        kind = "complex" if dtype is complex else "real"
+        raise ValidationError(f'field "{key}" must hold {kind} numbers, not {a.dtype}')
+    return a.astype(dtype, copy=False)
+
+
+def _check_norm(a: np.ndarray, key: str, weight: float) -> None:
+    """Refuse finite entries whose Hilbert-Schmidt norm weight * sum |a|^2
+    (Tr(rho^2) for a state or a DWF) overflows; below it no transform of the
+    value overflows.  Non-finite entries are left to `_settle`."""
+    with np.errstate(over="ignore"):
+        norm = weight * np.sum(np.abs(a) ** 2)
+    if not math.isfinite(norm) and np.isfinite(a).all():
+        raise ValidationError(f'field "{key}" is too large: its Hilbert-Schmidt norm overflows')
+
+
 # Each value type checks its array in `_settle`, the one set of checks for
-# the array a caller passes (copied first) and for an array the library has
-# just built (`_built`, not copied).  The net-independent Stokes grid of a
+# the array a caller passes (copied and screened by `_field_array` and
+# `_check_norm` first) and for an array the library has just built
+# (`_built`, not copied).  The net-independent Stokes grid of a
 # value (a state's Pauli grid, a DWF's S) is memoised read-only on first
 # use, so a value met by several nets or maps is transformed once.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hashing by identity
 class DensityState:
     """A validated n-qubit density operator, holding a read-only copy."""
 
@@ -63,7 +88,9 @@ class DensityState:
 
     def __post_init__(self):
         check_degree(self.n)
-        self._settle(np.array(self.rho, dtype=complex))
+        rho = _field_array(self.rho, "rho", complex)
+        _check_norm(rho, "rho", 1.0)  # before the eigenvalue test would warn on it
+        self._settle(rho)
 
     @classmethod
     def _built(cls, n: int, rho: np.ndarray) -> DensityState:
@@ -119,7 +146,7 @@ class DensityState:
         return float(np.abs(self._pauli.imag).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerFunction:
     """A read-only copy of a length-N^2 real Wigner vector, tagged with its net."""
 
@@ -129,7 +156,8 @@ class WignerFunction:
 
     def __post_init__(self):
         check_degree(self.n)
-        self._settle(np.array(self.w, dtype=float))
+        self._settle(_field_array(self.w, "w", float))
+        _check_norm(self.w, "w", self.order)  # after the sum rule, which names an overflowing sum
 
     @classmethod
     def _built(cls, n: int, net_id: int, w: np.ndarray) -> WignerFunction:

@@ -32,10 +32,25 @@ def report(name, ok, detail=""):
     assert ok, f"{name} failed: {detail}"
 
 
+# per-suite check counts at n = 2, part of each suite's contract
+CHECKS_AT_N2 = {
+    "net-traces": 1024,
+    "wigner-roundtrip": 19213,
+    "hadamard-bridge": 104498,
+    "conjugation": 6164,
+    "reduction-oracle": 757,
+    "shortcut-reduction": 3201,
+    "concurrence": 500,
+}
+
+
 def check_suites(name, results):
     bad = [f for r in results if not r.ok for f in r.failures[:3]]
     detail = f"{sum(r.checks for r in results)} checks"
     report(name, not bad, "; ".join(bad) if bad else detail)
+    at_n2 = [r for r in results if r.n == 2]
+    assert at_n2, f"{name} runs no suite at n = 2"
+    assert {r.name: r.checks for r in at_n2} == {r.name: CHECKS_AT_N2[r.name] for r in at_n2}
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,37 @@ def test_boolean_as_number_exits_2(capsys, monkeypatch, argv, doc):
 )
 def test_oversized_integer_exits_2(capsys, monkeypatch, argv, doc, field):
     code, out, err = run(capsys, argv, doc, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert field in err and "too large" in err
+
+
+HUGE_W1 = '{"n": 1, "net": 0, "w": [1e308, -1e308, 0.5, 0.5]}'
+# the two huge entries meet first in numpy's pairwise sum, so the DWF sums to 1
+HUGE_W2 = json.dumps({"n": 2, "net": 0, "w": [1e308] + [1 / 14] * 7 + [-1e308] + [1 / 14] * 7})
+HUGE_RHO = '{"n": 1, "rho": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]}'
+DWF_COMMANDS = [
+    ["to-rho"],
+    ["convert", "--net-out", "1"],
+    ["spinflip"],
+    ["conjugate"],
+    ["reduce", "--keep", "0", "--net-out", "0"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, field",
+    [(argv, doc, '"w"') for doc in (HUGE_W1, HUGE_W2) for argv in DWF_COMMANDS]
+    + [(argv, HUGE_RHO, '"rho"') for argv in (["compute", "--net", "0"], ["stokes"])],
+    ids=[f"{name}-{argv[0]}" for name in ("w1", "w2") for argv in DWF_COMMANDS]
+    + ["rho-compute", "rho-stokes"],
+)
+def test_input_whose_norm_overflows_exits_2(capsys, monkeypatch, argv, doc, field):
+    # finite entries whose transforms would overflow are refused up front,
+    # naming the input's own field, before numpy can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv, doc, monkeypatch)
     assert code == 2
     assert out == ""
     assert field in err and "too large" in err
