@@ -4,6 +4,12 @@ Subcommands: compute, to-rho, stokes, reduce, convert, spinflip, conjugate,
 nets, concurrence, verify.  Inputs default to stdin and outputs to stdout;
 exit codes are 0 on success, 2 on validation errors, 3 on internal
 consistency failures (including verify suite failures).
+
+Every command but nets and verify runs `_run`: read one JSON document, parse
+it with the command's `jsonio` parser, call its action (parsed value, args)
+-> output document, and write that.  Parsers and library functions are
+looked up when `build_parser` or the action runs, never bound at import, so
+a tracer that patches those module attributes sees every step.
 """
 
 from __future__ import annotations
@@ -57,24 +63,23 @@ def _net_for(n: int, net_id: int):
     return build_net(ctx, net_id)
 
 
-def _cmd_compute(args) -> int:
-    state = jsonio.parse_state(_read(args.input))
-    net = _net_for(state.n, args.net)
-    _write(args.output, jsonio.dwf_to_doc(dwf_from_rho(state, net)))
+def _run(args) -> int:
+    """Read, parse, act, write: the one pipeline of the document commands."""
+    value = args.parse(_read(args.input))
+    _write(args.output, args.act(value, args))
     return 0
 
 
-def _cmd_to_rho(args) -> int:
-    w = jsonio.parse_dwf(_read(args.input))
-    net = _net_for(w.n, w.net_id)
-    _write(args.output, jsonio.state_to_doc(rho_from_dwf(w, net)))
-    return 0
+def _compute(state, args) -> dict:
+    return jsonio.dwf_to_doc(dwf_from_rho(state, _net_for(state.n, args.net)))
 
 
-def _cmd_stokes(args) -> int:
-    state = jsonio.parse_state(_read(args.input))
-    _write(args.output, jsonio.stokes_to_doc(stokes_from_rho(state)))
-    return 0
+def _to_rho(w, args) -> dict:
+    return jsonio.state_to_doc(rho_from_dwf(w, _net_for(w.n, w.net_id)))
+
+
+def _stokes(state, args) -> dict:
+    return jsonio.stokes_to_doc(stokes_from_rho(state))
 
 
 def _parse_keep(text: str, n: int) -> KeepSet:
@@ -85,40 +90,30 @@ def _parse_keep(text: str, n: int) -> KeepSet:
     return KeepSet(n, positions)
 
 
-def _cmd_reduce(args) -> int:
-    w = jsonio.parse_dwf(_read(args.input))
+def _reduce(w, args) -> dict:
     if args.net_in is not None and args.net_in != w.net_id:
         raise ValidationError(
             f"--net-in {args.net_in} does not match input DWF net {w.net_id}"
         )
     keep = _parse_keep(args.keep, w.n)
-    source = _net_for(w.n, w.net_id)
-    target = _net_for(keep.k, args.net_out)
-    rmap = reduction_map(source, target, keep)
-    _write(args.output, jsonio.dwf_to_doc(reduce_dwf(w, rmap)))
-    return 0
+    rmap = reduction_map(_net_for(w.n, w.net_id), _net_for(keep.k, args.net_out), keep)
+    return jsonio.dwf_to_doc(reduce_dwf(w, rmap))
 
 
-def _cmd_convert(args) -> int:
-    w = jsonio.parse_dwf(_read(args.input))
-    _write(
-        args.output,
-        jsonio.dwf_to_doc(convert_net(w, _net_for(w.n, args.net_out))),
-    )
-    return 0
+def _convert(w, args) -> dict:
+    return jsonio.dwf_to_doc(convert_net(w, _net_for(w.n, args.net_out)))
 
 
-def _cmd_sign_map(args) -> int:
-    w = jsonio.parse_dwf(_read(args.input))
-    _write(args.output, jsonio.dwf_to_doc(args.apply(w)))
-    return 0
+def _spinflip(w, args) -> dict:
+    return jsonio.dwf_to_doc(spinflip_dwf(w))
 
 
-def _cmd_concurrence(args) -> int:
-    w = jsonio.parse_dwf(_read(args.input))
-    net = _net_for(w.n, w.net_id)
-    _write(args.output, {"n": w.n, "concurrence": concurrence_from_dwf(w, net)})
-    return 0
+def _conjugate(w, args) -> dict:
+    return jsonio.dwf_to_doc(conjugate_dwf(w))
+
+
+def _concurrence(w, args) -> dict:
+    return {"n": w.n, "concurrence": concurrence_from_dwf(w, _net_for(w.n, w.net_id))}
 
 
 def _cmd_nets(args) -> int:
@@ -164,42 +159,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def io_args(p):
+    def document(p, parse, act):
         p.add_argument("-i", "--input", default=None, help="input file (default stdin)")
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+        p.set_defaults(func=_run, parse=parse, act=act)
 
     p = sub.add_parser("compute", help="density matrix -> DWF")
     p.add_argument("--net", type=int, required=True, help="net id")
-    io_args(p)
-    p.set_defaults(func=_cmd_compute)
-
-    p = sub.add_parser("to-rho", help="DWF -> density matrix")
-    io_args(p)
-    p.set_defaults(func=_cmd_to_rho)
-
-    p = sub.add_parser("stokes", help="density matrix -> Stokes vector")
-    io_args(p)
-    p.set_defaults(func=_cmd_stokes)
+    document(p, jsonio.parse_state, _compute)
+    document(sub.add_parser("to-rho", help="DWF -> density matrix"), jsonio.parse_dwf, _to_rho)
+    document(sub.add_parser("stokes", help="density matrix -> Stokes vector"),
+             jsonio.parse_state, _stokes)
 
     p = sub.add_parser("reduce", help="DWF -> subsystem DWF")
     p.add_argument("--keep", required=True, help="comma-separated qubit positions")
     p.add_argument("--net-in", type=int, default=None, help="expected source net id")
     p.add_argument("--net-out", type=int, required=True, help="target net id")
-    io_args(p)
-    p.set_defaults(func=_cmd_reduce)
+    document(p, jsonio.parse_dwf, _reduce)
 
     p = sub.add_parser("convert", help="re-express a DWF in another net")
     p.add_argument("--net-out", type=int, required=True)
-    io_args(p)
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("spinflip", help="apply the spin-flip matrix G")
-    io_args(p)
-    p.set_defaults(func=_cmd_sign_map, apply=spinflip_dwf)
-
-    p = sub.add_parser("conjugate", help="apply the conjugation matrix F")
-    io_args(p)
-    p.set_defaults(func=_cmd_sign_map, apply=conjugate_dwf)
+    document(p, jsonio.parse_dwf, _convert)
+    document(sub.add_parser("spinflip", help="apply the spin-flip matrix G"),
+             jsonio.parse_dwf, _spinflip)
+    document(sub.add_parser("conjugate", help="apply the conjugation matrix F"),
+             jsonio.parse_dwf, _conjugate)
 
     p = sub.add_parser("nets", help="net atlas / classification")
     p.add_argument("--n", type=int, required=True, help="qubit count")
@@ -212,9 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_nets)
 
-    p = sub.add_parser("concurrence", help="concurrence of a pure two-qubit DWF")
-    io_args(p)
-    p.set_defaults(func=_cmd_concurrence)
+    document(sub.add_parser("concurrence", help="concurrence of a pure two-qubit DWF"),
+             jsonio.parse_dwf, _concurrence)
 
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("--suite", default="all", help="suite name, or all (default)")

@@ -30,7 +30,9 @@ from .ffield import check_degree
 # HadamardMatrix, hadamard_matrix and pauli_words are re-exported here
 from .nets import HadamardMatrix, QuantumNet, hadamard_matrix
 from .translations import CONJ_SIGNS, _xz_tables, pauli_words
-from .wigner import DensityState, WignerFunction, _dwf_on, _field_array, _read_only, _sign_matrix
+from .wigner import (
+    DensityState, WignerFunction, _dwf_on, _field_array, _read_only, _Settled, _sign_matrix,
+)
 
 # per-qubit signs of F and G: conj(sigma_j) = CONJ_SIGNS[j] sigma_j and
 # sigma_y conj(sigma_j) sigma_y = -sigma_j for j > 0
@@ -38,21 +40,13 @@ _MAP_SIGNS = {"F": CONJ_SIGNS, "G": np.array([1, -1, -1, -1])}
 
 
 @dataclass(frozen=True, eq=False)
-class StokesVector:
+class StokesVector(_Settled):
     n: int
     s: np.ndarray
 
     def __post_init__(self):
         check_degree(self.n)
         self._settle(_field_array(self.s, "s", float))
-
-    @classmethod
-    def _built(cls, n: int, s: np.ndarray) -> StokesVector:
-        """The vector of a library-built array for a checked n, without a copy."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "n", n)
-        vec._settle(s)
-        return vec
 
     def _settle(self, s: np.ndarray) -> None:
         size = 4**self.n

@@ -40,6 +40,7 @@ from .translations import _xz_tables, operator_from_grid, pauli_grid
 
 HERM_TOL = 1e-10
 PSD_TOL = -1e-9
+EPS = float(np.finfo(float).eps)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -61,14 +62,23 @@ def _field_array(value, key: str, dtype: type) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
-def _check_norm(a: np.ndarray, key: str, weight: float) -> None:
-    """Refuse finite entries whose Hilbert-Schmidt norm weight * sum |a|^2
-    (Tr(rho^2) for a state or a DWF) overflows; below it no transform of the
-    value overflows.  Non-finite entries are left to `_settle`."""
+def _check_norm(a: np.ndarray, key: str, order: int, weight: float) -> None:
+    """Refuse finite entries whose Hilbert-Schmidt norm r = sqrt(Tr rho^2)
+    = sqrt(weight * sum |a|^2) exceeds 1e-8 / (N^2 eps), N = `order`.
+
+    Each entry a transform builds carries rounding of order eps * r, and a
+    sum or trace rule adds at most N^2 of them, so below the bound every
+    library-built value keeps its 1e-8 rule (seeded adversarial inputs at
+    n = 1..4 put at most 1.5 eps r into the sum).  Non-finite entries are
+    left to `_settle`."""
+    limit = 1e-8 / (order**2 * EPS)
     with np.errstate(over="ignore"):
         norm = weight * np.sum(np.abs(a) ** 2)
-    if not math.isfinite(norm) and np.isfinite(a).all():
-        raise ValidationError(f'field "{key}" is too large: its Hilbert-Schmidt norm overflows')
+    if not norm <= limit**2 and np.isfinite(a).all():
+        raise ValidationError(
+            f'field "{key}" is too large: its Hilbert-Schmidt norm {math.sqrt(norm):.3g} '
+            f"exceeds {limit:.3g}, beyond which rounding breaks the 1e-8 sum and trace rules"
+        )
 
 
 # Each value type checks its array in `_settle`, the one set of checks for
@@ -79,8 +89,23 @@ def _check_norm(a: np.ndarray, key: str, weight: float) -> None:
 # use, so a value met by several nets or maps is transformed once.
 
 
+class _Settled:
+    """Base of the value types: a frozen dataclass whose last field is the
+    array its `_settle` checks and stores."""
+
+    @classmethod
+    def _built(cls, *fields):
+        """The value of a library-built array for a checked n, without a
+        copy: the scalar fields in order, then the array."""
+        value = object.__new__(cls)
+        for name, field in zip(cls.__match_args__[:-1], fields):  # the dataclass's field names
+            object.__setattr__(value, name, field)
+        value._settle(fields[-1])
+        return value
+
+
 @dataclass(frozen=True, eq=False)  # array fields: equality and hashing by identity
-class DensityState:
+class DensityState(_Settled):
     """A validated n-qubit density operator, holding a read-only copy."""
 
     n: int
@@ -89,16 +114,8 @@ class DensityState:
     def __post_init__(self):
         check_degree(self.n)
         rho = _field_array(self.rho, "rho", complex)
-        _check_norm(rho, "rho", 1.0)  # before the eigenvalue test would warn on it
+        _check_norm(rho, "rho", 2**self.n, 1.0)  # before the eigenvalue test would warn on it
         self._settle(rho)
-
-    @classmethod
-    def _built(cls, n: int, rho: np.ndarray) -> DensityState:
-        """The state of a library-built rho for a checked n, without a copy."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "n", n)
-        state._settle(rho)
-        return state
 
     def _settle(self, rho: np.ndarray) -> None:
         dim = 2**self.n
@@ -147,7 +164,7 @@ class DensityState:
 
 
 @dataclass(frozen=True, eq=False)
-class WignerFunction:
+class WignerFunction(_Settled):
     """A read-only copy of a length-N^2 real Wigner vector, tagged with its net."""
 
     n: int
@@ -157,16 +174,7 @@ class WignerFunction:
     def __post_init__(self):
         check_degree(self.n)
         self._settle(_field_array(self.w, "w", float))
-        _check_norm(self.w, "w", self.order)  # after the sum rule, which names an overflowing sum
-
-    @classmethod
-    def _built(cls, n: int, net_id: int, w: np.ndarray) -> WignerFunction:
-        """The DWF of a library-built vector for a checked n, without a copy."""
-        dwf = object.__new__(cls)
-        object.__setattr__(dwf, "n", n)
-        object.__setattr__(dwf, "net_id", net_id)
-        dwf._settle(w)
-        return dwf
+        _check_norm(self.w, "w", self.order, self.order)  # the sum rule names an overflowing sum
 
     def _settle(self, w: np.ndarray) -> None:
         size = 4**self.n

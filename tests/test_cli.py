@@ -46,13 +46,38 @@ def test_compute_maximally_mixed(tmp_path, capsys, monkeypatch):
     assert result["w"] == [0.25, 0.25, 0.25, 0.25]
 
 
-def test_compute_file_io(tmp_path, capsys):
-    src = tmp_path / "state.json"
-    dst = tmp_path / "dwf.json"
-    src.write_text(state_doc(1, np.eye(2) / 2))
-    code = main(["compute", "--net", "1", "-i", str(src), "-o", str(dst)])
+MIXED_DOC = state_doc(1, np.eye(2) / 2)
+
+
+DOCUMENT_REQUESTS = [
+    (["compute", "--net", "1"], MIXED_DOC),
+    (["to-rho"], bell_dwf_doc()),
+    (["stokes"], MIXED_DOC),
+    (["reduce", "--keep", "1", "--net-out", "2"], bell_dwf_doc()),
+    (["convert", "--net-out", "500"], bell_dwf_doc()),
+    (["spinflip"], bell_dwf_doc()),
+    (["conjugate"], bell_dwf_doc()),
+    (["concurrence"], bell_dwf_doc()),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, doc", DOCUMENT_REQUESTS, ids=[argv[0] for argv, _ in DOCUMENT_REQUESTS]
+)
+def test_document_file_io(tmp_path, capsys, monkeypatch, argv, doc):
+    # -i FILE -o FILE writes the bytes that stdin -> stdout prints
+    src, dst = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(doc)
+    code, expected, _ = run(capsys, argv, doc, monkeypatch)
     assert code == 0
-    assert json.loads(dst.read_text())["w"] == [0.25, 0.25, 0.25, 0.25]
+    code, out, _ = run(capsys, argv + ["-i", str(src), "-o", str(dst)])
+    assert code == 0 and out == ""
+    assert dst.read_bytes() == expected.encode()
+    if argv[0] == "compute":
+        assert json.loads(expected)["w"] == [0.25, 0.25, 0.25, 0.25]
+    # a missing input file is a validation error, and nothing is written
+    code, out, err = run(capsys, argv + ["-i", str(tmp_path / "missing.json")])
+    assert code == 2 and out == "" and "missing.json" in err
 
 
 def test_compute_to_rho_roundtrip(capsys, monkeypatch):
@@ -375,6 +400,10 @@ HUGE_W1 = '{"n": 1, "net": 0, "w": [1e308, -1e308, 0.5, 0.5]}'
 # the two huge entries meet first in numpy's pairwise sum, so the DWF sums to 1
 HUGE_W2 = json.dumps({"n": 2, "net": 0, "w": [1e308] + [1 / 14] * 7 + [-1e308] + [1 / 14] * 7})
 HUGE_RHO = '{"n": 1, "rho": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]}'
+# finite and far from overflow, but past the rounding bound on the norm: the
+# transforms' outputs used to fail their own sum rule, naming no input field
+BIG_W = '{"n": 1, "net": 0, "w": [1e100, -1e100, 0.5, 0.5]}'
+BIG_RHO = '{"n": 1, "rho": [[[0.5, 0], [1e100, 0]], [[1e100, 0], [0.5, 0]]]}'
 DWF_COMMANDS = [
     ["to-rho"],
     ["convert", "--net-out", "1"],
@@ -382,21 +411,74 @@ DWF_COMMANDS = [
     ["conjugate"],
     ["reduce", "--keep", "0", "--net-out", "0"],
 ]
+RHO_COMMANDS = [["compute", "--net", "0"], ["stokes"]]
 
 
 @pytest.mark.parametrize(
     "argv, doc, field",
     [(argv, doc, '"w"') for doc in (HUGE_W1, HUGE_W2) for argv in DWF_COMMANDS]
-    + [(argv, HUGE_RHO, '"rho"') for argv in (["compute", "--net", "0"], ["stokes"])],
+    + [(argv, HUGE_RHO, '"rho"') for argv in RHO_COMMANDS]
+    + [(argv, BIG_W, '"w"') for argv in DWF_COMMANDS + [["reduce", "--keep", "0", "--net-out", "1"]]]
+    + [(argv, BIG_RHO, '"rho"') for argv in RHO_COMMANDS],
     ids=[f"{name}-{argv[0]}" for name in ("w1", "w2") for argv in DWF_COMMANDS]
-    + ["rho-compute", "rho-stokes"],
+    + ["rho-compute", "rho-stokes"]
+    + [f"big-w-{argv[0]}" for argv in DWF_COMMANDS] + ["big-w-reduce-net-out-1"]
+    + ["big-rho-compute", "big-rho-stokes"],
 )
 def test_input_whose_norm_overflows_exits_2(capsys, monkeypatch, argv, doc, field):
-    # finite entries whose transforms would overflow are refused up front,
-    # naming the input's own field, before numpy can warn
+    # finite entries too large for the transforms to keep their 1e-8 sum
+    # rule (let alone not overflow) are refused up front, naming the input's
+    # own field, before numpy can warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, argv, doc, monkeypatch)
     assert code == 2
     assert out == ""
     assert field in err and "too large" in err
+
+
+def below_bound(n, rng):
+    """A seeded state document and DWF document of n qubits whose
+    Hilbert-Schmidt norm lies just below the constructors' bound
+    1e-8 / (N^2 eps), carried by a few large entries that cancel in the
+    trace and the sum."""
+    order = 2**n
+    r = rng.uniform(0.9, 0.99) * 1e-8 / (order**2 * np.finfo(float).eps)
+    big = np.zeros((order, order), complex)
+    a, b = rng.choice(order, 2, replace=False) if n > 1 else (0, 1)
+    big[a, b] = rng.standard_normal() + 1j * rng.standard_normal()
+    big[b, a] = np.conj(big[a, b])
+    big[a, a], big[b, b] = 1.0, -1.0
+    rho = random_density(n, rng).rho + big * (r / np.linalg.norm(big))
+    spikes = np.zeros(order**2)
+    size = rng.uniform(0.5, 1.5, 2)
+    spikes[rng.choice(order**2, 4, replace=False)] = np.concatenate([size, -size])
+    w = dwf_from_rho(random_density(n, rng), build_net(net_context(n), 0)).w
+    w = w + spikes * (r / np.sqrt(order * np.sum(spikes**2)))
+    return state_doc(n, rho), jsonio.dumps({"n": n, "net": int(rng.integers(order)), "w": list(w)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_input_just_below_the_bound_keeps_every_sum_rule(capsys, monkeypatch, n):
+    # every library-built value of an accepted input keeps its sum or trace
+    # rule: no command fails on the value the library itself built
+    rng = np.random.default_rng(1900 + n)
+    order = 2**n
+    nets = order ** (order + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # negative eigenvalues
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(6):
+            rho_doc, w_doc = below_bound(n, rng)
+            keep = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+            requests = [
+                (["compute", "--net", str(rng.integers(nets))], rho_doc),
+                (["to-rho"], w_doc),
+                (["convert", "--net-out", str(rng.integers(nets))], w_doc),
+                (["spinflip"], w_doc),
+                (["conjugate"], w_doc),
+                (["reduce", "--keep", ",".join(map(str, keep)), "--net-out", "1"], w_doc),
+            ]
+            for argv, doc in requests:
+                code, out, err = run(capsys, argv, doc, monkeypatch)
+                assert (code, err) == (0, ""), (argv, doc)

@@ -249,9 +249,10 @@ def test_non_psd_dwf_still_warns():
 
 def test_overflowing_cholesky_factor_still_warns():
     # rho is finite, Hermitian and of unit trace with eigenvalues +-1.41e150;
-    # its Cholesky factor overflows to NaN instead of failing
+    # its Cholesky factor overflows to NaN instead of failing.  The public
+    # constructor refuses so large a DWF, so it enters as a library-built one
     net = build_net(net_context(1), 0)
-    w = WignerFunction(1, 0, np.array([1e150, -1e150, 1.0, 0.0]))
+    w = WignerFunction._built(1, 0, np.array([1e150, -1e150, 1.0, 0.0]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rho = rho_from_dwf(w, net).rho

@@ -21,6 +21,8 @@ from dwfnet import (
 from dwfnet.errors import ValidationError
 
 FLAT = [0.25, 0.25, 0.25, 0.25]
+# the constructors' bound on the Hilbert-Schmidt norm sqrt(Tr rho^2) at n = 1
+LIMIT = 1e-8 / (2**2 * np.finfo(float).eps)
 
 
 def twins():
@@ -71,6 +73,10 @@ REFUSED = [
     ("w-huge", lambda: WignerFunction(1, 0, [1e308, -1e308, 0.5, 0.5]), "w"),
     ("rho-huge", lambda: DensityState(1, [[0.5, 1e308], [1e308, 0.5]]), "rho"),
     ("rho-huge-complex", lambda: DensityState(1, [[0.5, 1e200j], [-1e200j, 0.5]]), "rho"),
+    # finite norms just past the bound, where rounding would break the sum rule
+    ("w-past-bound", lambda: WignerFunction(1, 0, [0.51 * LIMIT, -0.51 * LIMIT, 0.5, 0.5]), "w"),
+    ("rho-past-bound", lambda: DensityState(1, [[0.5, 0.71j * LIMIT], [-0.71j * LIMIT, 0.5]]),
+     "rho"),
 ]
 
 
@@ -87,5 +93,7 @@ def test_screens_accept_numeric_input_of_any_width():
     assert StokesVector(1, np.array([1, 0, 0, 0], dtype=np.float32)).s.dtype == float
     state = DensityState(1, np.array([[1, 0], [0, 0]], dtype=np.uint8))
     assert state.rho.dtype == complex
-    # a large, finite norm passes: N sum w^2 = 4e300
-    assert WignerFunction(1, 0, [1e150, -1e150, 0.5, 0.5]).w[0] == 1e150
+    # norms just below the bound pass: sqrt(N sum w^2), sqrt(sum |rho|^2) about 0.98 LIMIT
+    assert WignerFunction(1, 0, [0.49 * LIMIT, -0.49 * LIMIT, 0.5, 0.5]).w[0] == 0.49 * LIMIT
+    with pytest.warns(UserWarning, match="negative eigenvalue"):
+        assert DensityState(1, [[0.5, 0.69 * LIMIT], [0.69 * LIMIT, 0.5]]).rho[0, 1] == 0.69 * LIMIT
