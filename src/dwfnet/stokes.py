@@ -46,7 +46,7 @@ class StokesVector(_Settled):
 
     def __post_init__(self):
         check_degree(self.n)
-        self._settle(_field_array(self.s, "s", float))
+        self._settle(_field_array(self.s, "s", float, (4**self.n,)))
 
     def _settle(self, s: np.ndarray) -> None:
         size = 4**self.n

@@ -9,11 +9,14 @@ Both run through Stokes space in the (x, z) mask layout of
 `translations.xz_tables` on the net's sign vector c, H = diag(c) K, with
 point alpha at [z_alpha, x_alpha] of an N x N grid: K W = WH W_grid WH
 (`_to_stokes`) and K^T S / N^2 = (WH / N) S (WH / N) (`_from_stokes`).  A
-DWF memoises its Stokes grid S = H W = c (K W), which does not depend on
-the net, and every map of the package acts on S alone: the state's Pauli
-grid, S itself for net conversion, S times the net-independent signs of F
-or G, or the kept words S[words] of a reduction (T_k).  The net enters
-only through `_dwf_on`, the one way back: W = K^T (c S) / N^2.
+DWF holds its Stokes grid S = H W, which does not depend on the net, and
+every map of the package acts on S alone: the state's Pauli grid, S itself
+for net conversion, S times the net-independent signs of F or G, or the
+kept words S[words] of a reduction (T_k).  The net enters only through
+`_dwf_on`, the one way back: W = K^T (c S) / N^2.  Every DWF a transform
+builds comes from `_dwf_on` and keeps the grid it was built from; only a
+DWF a caller constructs (or the marginal cross-check `shortcut_reduce`
+builds) derives S = c (K W) from W, once, on first use.
 
 Every kernel is real float64: the +-1 WH is never cast to complex, and the
 1 / N^2 rides exactly in the cached WH / N, so no kernel ends with a
@@ -44,14 +47,15 @@ EPS = float(np.finfo(float).eps)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
-def _field_array(value, key: str, dtype: type) -> np.ndarray:
+def _field_array(value, key: str, dtype: type, shape: tuple) -> np.ndarray:
     """A caller's `value` for field `key` as a fresh `dtype` (float or complex)
     array, refusing ragged or non-numeric input (booleans and numeric strings
-    too) and complex input for a real field."""
+    too), complex input for a real field and, before any arithmetic on it
+    can warn, a non-finite entry (a wrong `shape` is left to `_settle`)."""
     try:
         a = np.array(value)
     except ValueError as exc:
@@ -59,7 +63,10 @@ def _field_array(value, key: str, dtype: type) -> np.ndarray:
     if a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
         kind = "complex" if dtype is complex else "real"
         raise ValidationError(f'field "{key}" must hold {kind} numbers, not {a.dtype}')
-    return a.astype(dtype, copy=False)
+    a = a.astype(dtype, copy=False)
+    if a.shape == shape and not np.isfinite(a).all():
+        raise ValidationError(f'field "{key}" has a non-finite entry')
+    return a
 
 
 def _check_norm(a: np.ndarray, key: str, order: int, weight: float) -> None:
@@ -70,7 +77,7 @@ def _check_norm(a: np.ndarray, key: str, order: int, weight: float) -> None:
     sum or trace rule adds at most N^2 of them, so below the bound every
     library-built value keeps its 1e-8 rule (seeded adversarial inputs at
     n = 1..4 put at most 1.5 eps r into the sum).  Non-finite entries are
-    left to `_settle`."""
+    left to `_field_array` and `_settle`."""
     limit = 1e-8 / (order**2 * EPS)
     with np.errstate(over="ignore"):
         norm = weight * np.sum(np.abs(a) ** 2)
@@ -85,8 +92,8 @@ def _check_norm(a: np.ndarray, key: str, order: int, weight: float) -> None:
 # the array a caller passes (copied and screened by `_field_array` and
 # `_check_norm` first) and for an array the library has just built
 # (`_built`, not copied).  The net-independent Stokes grid of a
-# value (a state's Pauli grid, a DWF's S) is memoised read-only on first
-# use, so a value met by several nets or maps is transformed once.
+# value (a state's Pauli grid, a DWF's S) is memoised read-only, so a value
+# met by several nets or maps is transformed at most once.
 
 
 class _Settled:
@@ -113,7 +120,7 @@ class DensityState(_Settled):
 
     def __post_init__(self):
         check_degree(self.n)
-        rho = _field_array(self.rho, "rho", complex)
+        rho = _field_array(self.rho, "rho", complex, (2**self.n,) * 2)
         _check_norm(rho, "rho", 2**self.n, 1.0)  # before the eigenvalue test would warn on it
         self._settle(rho)
 
@@ -134,10 +141,8 @@ class DensityState(_Settled):
         # rho - PSD_TOL I has a finite Cholesky factor when no eigenvalue of
         # rho lies below PSD_TOL, so only a failure needs the eigenvalues;
         # a factor that overflowed to inf or NaN counts as a failure
-        shifted = rho.copy()
-        shifted.ravel()[:: dim + 1] -= PSD_TOL
         try:
-            factored = cmath.isfinite(np.linalg.cholesky(shifted).sum())
+            factored = cmath.isfinite(np.linalg.cholesky(rho + _psd_shift(dim)).sum())
         except np.linalg.LinAlgError:
             factored = False
         if not factored:
@@ -173,14 +178,14 @@ class WignerFunction(_Settled):
 
     def __post_init__(self):
         check_degree(self.n)
-        self._settle(_field_array(self.w, "w", float))
+        self._settle(_field_array(self.w, "w", float, (4**self.n,)))
         _check_norm(self.w, "w", self.order, self.order)  # the sum rule names an overflowing sum
 
     def _settle(self, w: np.ndarray) -> None:
         size = 4**self.n
         if w.shape != (size,):
             raise ValidationError(f"w must have length {size} for n={self.n}")
-        total = w.sum()
+        total = np.add.reduce(w)  # w.sum() without its Python wrapper
         if not math.isfinite(total) and not np.isfinite(w).all():
             raise ValidationError('field "w" has a non-finite entry')
         if abs(total - 1.0) > 1e-8:
@@ -190,12 +195,18 @@ class WignerFunction(_Settled):
 
     @cached_property
     def _stokes(self) -> np.ndarray:
-        """S = H W = c (K W), the state's net-independent Stokes grid [x, z], read-only."""
+        """S = H W = c (K W) as a read-only grid [x, z]; `_dwf_on` sets it on built DWFs."""
         return _read_only(_to_stokes(self.w, self.n) * _signs_by_id(self.n, self.net_id))
 
     @property
     def order(self) -> int:
         return 2**self.n
+
+
+@lru_cache(maxsize=8)
+def _psd_shift(dim: int) -> np.ndarray:
+    """-PSD_TOL I, read-only: rho + it is rho - PSD_TOL I bit for bit."""
+    return _read_only(np.eye(dim, dtype=complex) * -PSD_TOL)
 
 
 @lru_cache(maxsize=8)
@@ -220,9 +231,12 @@ def _to_stokes(w: np.ndarray, n: int) -> np.ndarray:
 
 def _dwf_on(net_id: int, s: np.ndarray) -> WignerFunction:
     """The DWF on net `net_id` of the real k-qubit Stokes grid s[x, z]:
-    W = H^T S / 4^k = K^T (c S) / 4^k, k read off s's shape."""
+    W = H^T S / 4^k = K^T (c S) / 4^k, k read off s's shape.  The DWF keeps
+    s as its S, read-only and C-contiguous (copied only if s is strided)."""
     k = len(s).bit_length() - 1
-    return WignerFunction._built(k, net_id, _from_stokes(s * _signs_by_id(k, net_id), k))
+    w = WignerFunction._built(k, net_id, _from_stokes(s * _signs_by_id(k, net_id), k))
+    object.__setattr__(w, "_stokes", _read_only(np.ascontiguousarray(s)))
+    return w
 
 
 def _sign_matrix(y: np.ndarray) -> np.ndarray:

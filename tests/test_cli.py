@@ -354,14 +354,22 @@ def test_unsupported_qubit_count_exits_2(capsys, monkeypatch, argv, doc):
         (["to-rho"], '{"n": 1, "net": 0, "w": [NaN, 0.25, 0.25, 0.25]}', '"w"'),
         (["reduce", "--keep", "0", "--net-out", "0"],
          '{"n": 2, "net": 0, "w": [Infinity' + ", 0.0" * 15 + "]}", '"w"'),
+        # inf - inf and inf + -inf: refused before numpy could warn on them
+        (["compute", "--net", "0"],
+         '{"n": 1, "rho": [[[Infinity, 0], [0, 0]], [[0, 0], [0.5, 0]]]}', '"rho"'),
+        (["stokes"],
+         '{"n": 1, "rho": [[[0.5, 0], [Infinity, 0]], [[Infinity, 0], [0.5, 0]]]}', '"rho"'),
+        (["to-rho"], '{"n": 1, "net": 0, "w": [Infinity, -Infinity, 0.5, 0.5]}', '"w"'),
     ],
-    ids=["compute", "to-rho", "reduce"],
+    ids=["compute", "to-rho", "reduce", "compute-inf-diagonal", "stokes-inf-off-diagonal",
+         "to-rho-inf-minus-inf"],
 )
 def test_non_finite_input_exits_2(capsys, monkeypatch, argv, doc, field):
     code, out, err = run(capsys, argv, doc, monkeypatch)
     assert code == 2
     assert out == ""
     assert field in err and "non-finite" in err
+    assert "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,13 @@
 the same way whether a caller or the library built it.
 
 `DensityState` memoises its Pauli grid and `WignerFunction` its Stokes
-grid S = H W, both read-only; every transform reading them must give, bit
-for bit, what the formula written directly with `pauli_grid`,
-`_to_stokes`, `_from_stokes` and `operator_from_grid` gives, and what the
-same formulas give written in complex arithmetic with the unscaled
-Walsh-Hadamard matrix.
+grid S = H W, both read-only.  A DWF a transform builds keeps the grid it
+was built from (for `dwf_from_rho`, the real part of the state's Pauli
+grid); a caller-built DWF derives S = c (K W) from W.  Every transform
+reading them must give, bit for bit, what the formula written directly
+with `pauli_grid`, `_to_stokes`, `_from_stokes` and `operator_from_grid`
+gives, and what the same formulas give written in complex arithmetic with
+the unscaled Walsh-Hadamard matrix.
 """
 
 import warnings
@@ -79,7 +81,8 @@ def test_transforms_equal_the_direct_formulas(n):
         assert same_bits(stokes_from_rho(state).s, vals.real)
         w = dwf_from_rho(state, net)
         assert same_bits(w.w, _from_stokes(pauli_grid(state.rho, n) * c, n).real)
-        ks = _to_stokes(w.w, n)
+        assert same_bits(WignerFunction(n, net.net_id, w.w)._stokes, _to_stokes(w.w, n) * c)
+        ks = np.ascontiguousarray(pauli_grid(state.rho, n).real) * c  # K W = c S
         assert same_bits(rho_from_dwf(w, net).rho, operator_from_grid(ks * c, n))
         assert same_bits(convert_net(w, other).w, _from_stokes(ks * (c * c_other), n))
         assert same_bits(conjugate_dwf(w).w, _from_stokes(ks * word_signs(n, CONJ_SIGNS), n))
@@ -117,7 +120,9 @@ def test_real_kernels_match_the_complex_formulas(n):
         assert same_bits(w.w, complex_from_stokes(pauli_grid(state.rho, n) * c, n).real)
         w_grid = np.zeros(4**n)
         w_grid[grid] = w.w
-        ks = wh @ w_grid.reshape(wh.shape) @ wh
+        caller_built = WignerFunction(n, net.net_id, w.w)._stokes
+        assert same_bits(caller_built, (wh @ w_grid.reshape(wh.shape) @ wh) * c)
+        ks = np.ascontiguousarray(pauli_grid(state.rho, n).real) * c  # K W = c S
         assert same_bits(rho_from_dwf(w, net).rho, complex_operator(ks * c, n))
         assert same_bits(convert_net(w, other).w, complex_from_stokes(ks * (c * c_other), n))
         conj, flip = word_signs(n, CONJ_SIGNS), word_signs(n, [1, -1, -1, -1])
@@ -141,6 +146,26 @@ def test_dwf_memo_is_the_net_independent_stokes_grid(n):
         s = w._stokes.ravel()[cells]
         assert same_bits(s, stokes_from_dwf(w).s)
         assert np.max(np.abs(s - hadamard_matrix(net).h @ w.w)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_library_built_dwfs_keep_exact_identities(n):
+    # a library-built DWF carries the grid it was built from, so its S, a net
+    # round trip, its rho and its reductions do not depend on the nets it
+    # passed through
+    rng = np.random.default_rng(1000 + n)
+    a, b = random_net(n, rng), random_net(n, rng)
+    keep = KeepSet(n, tuple(range(n - 1, -1, -2))[::-1])
+    target = random_net(keep.k, rng)
+    for state in (random_pure(n, rng), random_density(n, rng), random_pure(n, rng),
+                  random_density(n, rng)):
+        w = dwf_from_rho(state, a)
+        assert same_bits(stokes_from_dwf(w).s, stokes_from_rho(state).s)
+        assert same_bits(convert_net(convert_net(w, b), a).w, w.w)
+        assert same_bits(rho_from_dwf(w, a).rho, rho_from_dwf(dwf_from_rho(state, b), b).rho)
+        direct = reduce_dwf(w, reduction_map(a, target, keep))
+        via_b = reduce_dwf(convert_net(w, b), reduction_map(b, target, keep))
+        assert same_bits(via_b.w, direct.w)
 
 
 def test_imaginary_residue_error_fires_where_the_complex_transform_exceeds_it():
@@ -197,8 +222,17 @@ def test_memos_are_read_only_and_computed_once(monkeypatch):
     stokes_from_dwf(w)
     reduce_dwf(w, rmap)
     reduce_dwf(w, rmap)
-    assert calls == {"pauli_grid": 1, "_to_stokes": 1}
+    reduce_dwf(convert_net(convert_net(w, nets[2]), nets[0]), rmap)
+    # every library-built DWF carries the grid it was built from
+    assert calls == {"pauli_grid": 1}
     assert w._stokes is w._stokes and not w._stokes.flags.writeable
+    assert w._stokes.flags.c_contiguous
+    # a caller-built DWF derives S from W once, however often it is mapped
+    caller_built = WignerFunction(3, nets[0].net_id, w.w)
+    convert_net(caller_built, nets[1])
+    reduce_dwf(caller_built, rmap)
+    assert calls == {"pauli_grid": 1, "_to_stokes": 1}
+    assert not caller_built._stokes.flags.writeable
 
 
 def test_library_built_values_are_read_only():

@@ -5,6 +5,7 @@ import pytest
 
 from dwfnet import (
     DensityState,
+    StokesVector,
     WignerFunction,
     build_net,
     dwf_from_rho,
@@ -97,6 +98,31 @@ def test_wigner_function_rejects_non_finite_values():
         # finite entries whose sum overflows are a sum error, not a non-finite one
         with pytest.raises(ValidationError, match=r"sums to (np\.float64\()?inf"):
             WignerFunction(1, 0, np.array([1e308, 1e308, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DensityState(1, np.array([[np.inf, 0], [0, 0.5]])),
+        lambda: DensityState(1, np.array([[0.5, np.inf], [np.inf, 0.5]])),
+        lambda: DensityState(1, np.array([[0.5, np.nan], [0, 0.5]])),
+        lambda: WignerFunction(1, 0, np.array([np.inf, -np.inf, 0.5, 0.5])),
+        lambda: StokesVector(1, np.array([1.0, np.inf, -np.inf, 0.0])),
+    ],
+    ids=["rho-inf-diagonal", "rho-inf-off-diagonal", "rho-nan", "w-inf-minus-inf", "s-inf"],
+)
+def test_constructors_refuse_non_finite_entries_before_any_arithmetic(make):
+    # the project's error::RuntimeWarning filter turns any numpy warning on
+    # inf - inf or inf + -inf taken before the refusal into a failure
+    with pytest.raises(ValidationError, match=r'field "(rho|w|s)" has a non-finite entry'):
+        make()
+
+
+def test_wrong_shape_is_named_before_a_non_finite_entry():
+    with pytest.raises(ValidationError, match="w must have length 4"):
+        WignerFunction(1, 0, np.array([np.nan, 0.5]))
+    with pytest.raises(ValidationError, match="rho must be 2x2"):
+        DensityState(1, np.full((4, 4), np.nan))
 
 
 def test_maximally_mixed_is_uniform():
