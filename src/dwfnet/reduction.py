@@ -81,6 +81,13 @@ class ReductionMap:
         check_net_id(self.source_net, 2**self.keep.n)
         check_net_id(self.target_net, 2**self.keep.k)
 
+    @classmethod
+    def _of(cls, keep: KeepSet, source_net: int, target_net: int) -> ReductionMap:
+        """The map of a KeepSet and two built nets' ids matched to its sizes, unchecked."""
+        rmap = object.__new__(cls)
+        vars(rmap).update(keep=keep, source_net=source_net, target_net=target_net)
+        return rmap
+
 
 def reduction_map(
     source_net: QuantumNet, target_net: QuantumNet, keep: KeepSet
@@ -94,7 +101,9 @@ def reduction_map(
         raise DimensionMismatchError(
             f"target net is for n={target_net.n_qubits}, keep set keeps k={keep.k}"
         )
-    return ReductionMap(keep, source_net.net_id, target_net.net_id)
+    if not isinstance(keep, KeepSet):
+        raise ValidationError(f"keep {keep!r} is not a KeepSet")
+    return ReductionMap._of(keep, source_net.net_id, target_net.net_id)
 
 
 def reduce_dwf(w: WignerFunction, rmap: ReductionMap) -> WignerFunction:

@@ -65,7 +65,7 @@ def stokes_from_rho(state: DensityState) -> StokesVector:
     # max |Im P| is the largest residue among the components
     if state._imag_max > 1e-10:
         raise ValidationError("Stokes components carry imaginary residue")
-    return StokesVector._built(state.n, state._pauli.real.ravel()[_xz_tables(state.n).cells])
+    return StokesVector._built(state.n, state._real.ravel()[_xz_tables(state.n).cells])
 
 
 def stokes_from_dwf(w: WignerFunction) -> StokesVector:

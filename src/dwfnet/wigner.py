@@ -14,9 +14,9 @@ every map of the package acts on S alone: the state's Pauli grid, S itself
 for net conversion, S times the net-independent signs of F or G, or the
 kept words S[words] of a reduction (T_k).  The net enters only through
 `_dwf_on`, the one way back: W = K^T (c S) / N^2.  Every DWF a transform
-builds comes from `_dwf_on` and keeps the grid it was built from; only a
-DWF a caller constructs (or the marginal cross-check `shortcut_reduce`
-builds) derives S = c (K W) from W, once, on first use.
+builds comes from `_dwf_on` and keeps the grid it was built from (all DWFs of
+a state share its real Pauli plane); only a DWF a caller constructs (or the
+cross-check `shortcut_reduce` builds) derives S = c (K W) from W, once, on first use.
 
 Every kernel is real float64: the +-1 WH is never cast to complex, and the
 1 / N^2 rides exactly in the cached WH / N, so no kernel ends with a
@@ -90,10 +90,10 @@ def _check_norm(a: np.ndarray, key: str, order: int, weight: float) -> None:
 
 # Each value type checks its array in `_settle`, the one set of checks for
 # the array a caller passes (copied and screened by `_field_array` and
-# `_check_norm` first) and for an array the library has just built
-# (`_built`, not copied).  The net-independent Stokes grid of a
-# value (a state's Pauli grid, a DWF's S) is memoised read-only, so a value
-# met by several nets or maps is transformed at most once.
+# `_check_norm` first) and for an array the library has just built (`_built`,
+# not copied; `_dwf_on` runs only the DWF sum rule).  The net-independent
+# Stokes grid of a value (a state's Pauli grid, a DWF's S) is memoised
+# read-only, so a value met by several nets or maps is transformed at most once.
 
 
 class _Settled:
@@ -162,6 +162,11 @@ class DensityState(_Settled):
         return _read_only(pauli_grid(self.rho, self.n))
 
     @cached_property
+    def _real(self) -> np.ndarray:
+        """Re P, read-only and C-contiguous: the S every DWF of the state shares."""
+        return _read_only(np.ascontiguousarray(self._pauli.real))
+
+    @cached_property
     def _imag_max(self) -> float:
         """max |Im P|, which bounds |Im W| on every net and decides the
         residue test of `stokes_from_rho`."""
@@ -178,18 +183,15 @@ class WignerFunction(_Settled):
 
     def __post_init__(self):
         check_degree(self.n)
-        self._settle(_field_array(self.w, "w", float, (4**self.n,)))
-        _check_norm(self.w, "w", self.order, self.order)  # the sum rule names an overflowing sum
+        with np.errstate(over="ignore"):  # the sum rule, not numpy, names an overflowing sum
+            self._settle(_field_array(self.w, "w", float, (4**self.n,)))
+        _check_norm(self.w, "w", self.order, self.order)
 
     def _settle(self, w: np.ndarray) -> None:
         size = 4**self.n
         if w.shape != (size,):
             raise ValidationError(f"w must have length {size} for n={self.n}")
-        total = np.add.reduce(w)  # w.sum() without its Python wrapper
-        if not math.isfinite(total) and not np.isfinite(w).all():
-            raise ValidationError('field "w" has a non-finite entry')
-        if abs(total - 1.0) > 1e-8:
-            raise ValidationError(f"Wigner function sums to {float(total)}, not 1")
+        _sum_rule(w)
         check_net_id(self.net_id, 2**self.n)
         object.__setattr__(self, "w", _read_only(w))
 
@@ -229,14 +231,26 @@ def _to_stokes(w: np.ndarray, n: int) -> np.ndarray:
     return wh @ w[points].reshape(wh.shape) @ wh
 
 
+def _sum_rule(w: np.ndarray) -> None:
+    """Refuse a Wigner vector with a non-finite entry or a sum 1e-8 from 1."""
+    total = np.add.reduce(w)  # w.sum() without its Python wrapper
+    if not math.isfinite(total) and not np.isfinite(w).all():
+        raise ValidationError('field "w" has a non-finite entry')
+    if abs(total - 1.0) > 1e-8:
+        raise ValidationError(f"Wigner function sums to {float(total)}, not 1")
+
+
 def _dwf_on(net_id: int, s: np.ndarray) -> WignerFunction:
-    """The DWF on net `net_id` of the real k-qubit Stokes grid s[x, z]:
-    W = H^T S / 4^k = K^T (c S) / 4^k, k read off s's shape.  The DWF keeps
-    s as its S, read-only and C-contiguous (copied only if s is strided)."""
+    """The DWF on net `net_id` of the real k-qubit grid s[x, z], which every
+    transform builds: W = H^T S / 4^k = K^T (c S) / 4^k, k read off s's shape.
+    It keeps s, C-contiguous at every caller, as S, so a state's DWFs share its
+    plane `_real`.  Of `_settle` only the sum rule runs; `_signs_by_id` checks new ids."""
     k = len(s).bit_length() - 1
-    w = WignerFunction._built(k, net_id, _from_stokes(s * _signs_by_id(k, net_id), k))
-    object.__setattr__(w, "_stokes", _read_only(np.ascontiguousarray(s)))
-    return w
+    w = _read_only(_from_stokes(s * _signs_by_id(k, net_id), k))
+    _sum_rule(w)
+    value = object.__new__(WignerFunction)
+    vars(value).update(n=k, net_id=net_id, w=w, _stokes=_read_only(s))
+    return value
 
 
 def _sign_matrix(y: np.ndarray) -> np.ndarray:
@@ -253,18 +267,15 @@ def _sign_matrix(y: np.ndarray) -> np.ndarray:
 def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
     """w_alpha = (1/N) Tr(rho A_alpha)."""
     if state.n != net.n_qubits:
-        raise ValidationError(
-            f"state has n={state.n} but net is for n={net.n_qubits}"
-        )
-    pauli = state._pauli
+        raise ValidationError(f"state has n={state.n} but net is for n={net.n_qubits}")
     # H's entries are +-1, so |Im W| <= sum |Im P| / 4^n <= max |Im P|; below
     # half the tolerance no rounding can lift a value past it, and only the
     # other states transform Im P to decide
     if state._imag_max > HERM_TOL / 2:
         c = _signs_by_id(state.n, net.net_id)
-        if np.max(np.abs(_from_stokes(pauli.imag * c, state.n))) > HERM_TOL:
+        if np.max(np.abs(_from_stokes(state._pauli.imag * c, state.n))) > HERM_TOL:
             raise ValidationError("Wigner values carry imaginary residue; input not Hermitian")
-    return _dwf_on(net.net_id, pauli.real)
+    return _dwf_on(net.net_id, state._real)
 
 
 def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:

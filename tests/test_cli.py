@@ -445,6 +445,18 @@ def test_input_whose_norm_overflows_exits_2(capsys, monkeypatch, argv, doc, fiel
     assert field in err and "too large" in err
 
 
+def test_overflowing_sum_exits_2_with_the_error_alone():
+    # a fresh process, where numpy's overflow warning would reach stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(jsonio.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-W", "always::RuntimeWarning", "-m", "dwfnet.cli", "to-rho"],
+        input='{"n": 1, "net": 0, "w": [1e308, 1e308, 0, 0]}', env=env, capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.splitlines() == ["error: Wigner function sums to inf, not 1"]
+
+
 def below_bound(n, rng):
     """A seeded state document and DWF document of n qubits whose
     Hilbert-Schmidt norm lies just below the constructors' bound

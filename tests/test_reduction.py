@@ -23,13 +23,14 @@ from dwfnet import (
     rho_from_dwf,
 )
 from dwfnet.errors import (
+    DimensionMismatchError,
     NetMismatchError,
     PurityError,
     UnsupportedNetError,
     ValidationError,
 )
 from dwfnet.nets import _signs_by_id
-from dwfnet.reduction import _kept_cells
+from dwfnet.reduction import ReductionMap, _kept_cells
 from dwfnet.verify import (
     dense_hadamard,
     partial_trace,
@@ -368,3 +369,44 @@ def test_dropped_reduction_maps_hold_no_memory():
     finally:
         tracemalloc.stop()
     assert grown < 16 * 2**10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_reduction_map_equals_the_checked_constructor(n):
+    # `reduction_map` builds its map without re-checking the nets' ids, and
+    # gives the map the public constructor checks, field for field
+    rng = np.random.default_rng(2300 + n)
+    order = 2**n
+    source = build_net(net_context(n), id_of([int(d) for d in rng.integers(0, order, order + 1)], order))
+    for k in range(1, n + 1):
+        keep = KeepSet(n, tuple(sorted(rng.choice(n, k, replace=False).tolist())))
+        target = build_net(net_context(k), int(rng.integers(2**k)))
+        got, want = reduction_map(source, target, keep), ReductionMap(keep, source.net_id, target.net_id)
+        assert type(got) is ReductionMap and got == want and hash(got) == hash(want)
+        assert (got.keep, got.source_net, got.target_net) == (keep, source.net_id, target.net_id)
+
+
+class DuckKeep:
+    """Sizes of a keep set without being one."""
+
+    n, k, keep = 2, 1, (0,)
+
+    def __repr__(self):
+        return "DuckKeep()"
+
+
+@pytest.mark.parametrize(
+    "n_source, n_target, keep, error, message",
+    [
+        (3, 2, KeepSet(2, (0,)), DimensionMismatchError, "source net is for n=3, keep set for n=2"),
+        (2, 2, KeepSet(2, (0,)), DimensionMismatchError,
+         "target net is for n=2, keep set keeps k=1"),
+        (2, 1, DuckKeep(), ValidationError, "keep DuckKeep() is not a KeepSet"),
+    ],
+    ids=["source-size", "target-size", "not-a-keep-set"],
+)
+def test_reduction_map_refusals_are_unchanged(n_source, n_target, keep, error, message):
+    source, target = build_net(net_context(n_source), 3), build_net(net_context(n_target), 1)
+    with pytest.raises(error) as caught:
+        reduction_map(source, target, keep)
+    assert type(caught.value) is error and str(caught.value) == message

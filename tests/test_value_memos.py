@@ -42,7 +42,7 @@ from dwfnet import (
 from dwfnet.errors import ValidationError
 from dwfnet.reduction import _kept_cells
 from dwfnet.translations import CONJ_SIGNS, operator_from_grid, pauli_grid, xz_tables
-from dwfnet.wigner import _from_stokes, _to_stokes
+from dwfnet.wigner import _dwf_on, _from_stokes, _to_stokes
 
 
 def random_net(n, rng):
@@ -166,6 +166,43 @@ def test_library_built_dwfs_keep_exact_identities(n):
         direct = reduce_dwf(w, reduction_map(a, target, keep))
         via_b = reduce_dwf(convert_net(w, b), reduction_map(b, target, keep))
         assert same_bits(via_b.w, direct.w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_dwfs_of_a_state_share_its_real_plane(n):
+    # one contiguous copy of Re P per state is the S of each of its DWFs and
+    # of their net conversions, and every transform output is a DWF the
+    # public constructor accepts with the same bits
+    rng = np.random.default_rng(2200 + n)
+    a, b = random_net(n, rng), random_net(n, rng)
+    keep = KeepSet(n, tuple(range(0, n, 2)))
+    target = random_net(keep.k, rng)
+    for state in (random_pure(n, rng), random_density(n, rng), random_density(n, rng)):
+        wa, wb = dwf_from_rho(state, a), dwf_from_rho(state, b)
+        assert wa._stokes is wb._stokes is state._real
+        assert convert_net(wa, b)._stokes is wa._stokes
+        assert not state._real.flags.writeable and state._real.flags.c_contiguous
+        assert same_bits(state._real, state._pauli.real)
+        outputs = [(wa, n, a.net_id), (wb, n, b.net_id), (convert_net(wa, b), n, b.net_id),
+                   (reduce_dwf(wb, reduction_map(b, target, keep)), keep.k, target.net_id),
+                   (conjugate_dwf(wa), n, a.net_id), (spinflip_dwf(wb), n, b.net_id)]
+        for w, size, net_id in outputs:
+            assert type(w) is WignerFunction and (w.n, w.net_id) == (size, net_id)
+            assert not w.w.flags.writeable and not w._stokes.flags.writeable
+            assert same_bits(WignerFunction(w.n, w.net_id, w.w).w, w.w)
+
+
+def test_dwf_on_keeps_the_id_and_sum_checks():
+    # `_dwf_on` skips only the length test, which its grid's shape decides
+    grid = np.zeros((4, 4))
+    grid[0, 0] = 1.0
+    assert same_bits(_dwf_on(0, grid).w, np.full(16, 1 / 16))
+    with pytest.raises(ValidationError, match=r"out of range \[0, 1024\)"):
+        _dwf_on(1024, grid)
+    with pytest.raises(ValidationError, match="Wigner function sums to 2.0, not 1"):
+        _dwf_on(0, 2 * grid)
+    with pytest.raises(ValidationError, match='field "w" has a non-finite entry'):
+        _dwf_on(0, np.full((4, 4), np.nan))
 
 
 def test_imaginary_residue_error_fires_where_the_complex_transform_exceeds_it():

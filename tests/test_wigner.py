@@ -100,6 +100,15 @@ def test_wigner_function_rejects_non_finite_values():
             WignerFunction(1, 0, np.array([1e308, 1e308, 0.0, 0.0]))
 
 
+def test_overflowing_sum_is_named_without_a_numpy_warning():
+    # finite entries whose sum overflows: the sum rule names it, and numpy's
+    # overflow warning does not precede the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="Wigner function sums to inf, not 1"):
+            WignerFunction(1, 0, np.array([1e308, 1e308, 0.0, 0.0]))
+
+
 @pytest.mark.parametrize(
     "make",
     [
