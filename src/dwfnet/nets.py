@@ -34,7 +34,7 @@ from .errors import (
 )
 from .ffield import GF2m, check_degree
 from .phasespace import PhaseSpace
-from .translations import CONJ_SIGNS, TranslationTable, _xz_tables, build_eigensystems
+from .translations import TranslationTable, _xz_tables, build_eigensystems
 
 FULL_ENUMERATION_LIMIT = 4  # N above this needs explicit sampling
 # Byte budget of each per-net matrix cache: six times the census workload's
@@ -335,7 +335,7 @@ class ProductReport:
 def _single_qubit_nets() -> tuple:
     """8-entry lookups from a single-qubit sign grid's bytes to (net id, form),
     and from the conjugated (Y flipped) grid's bytes to the net id."""
-    grids, conj = [_signs_by_id(1, i) for i in range(8)], CONJ_SIGNS[_xz_tables(1).stokes]
+    grids, conj = [_signs_by_id(1, i) for i in range(8)], _xz_tables(1).wh
     forms = {g.tobytes(): (i, "eq6" if g.prod() > 0 else "eq7") for i, g in enumerate(grids)}
     return forms, {(g * conj).tobytes(): i for i, g in enumerate(grids)}
 

@@ -93,6 +93,8 @@ def reduction_map(
     source_net: QuantumNet, target_net: QuantumNet, keep: KeepSet
 ) -> ReductionMap:
     """P = H_k^{-1} T_k H_n for the given net pair and keep set; exact."""
+    if not isinstance(keep, KeepSet):
+        raise ValidationError(f"keep {keep!r} is not a KeepSet")
     if source_net.n_qubits != keep.n:
         raise DimensionMismatchError(
             f"source net is for n={source_net.n_qubits}, keep set for n={keep.n}"
@@ -101,8 +103,6 @@ def reduction_map(
         raise DimensionMismatchError(
             f"target net is for n={target_net.n_qubits}, keep set keeps k={keep.k}"
         )
-    if not isinstance(keep, KeepSet):
-        raise ValidationError(f"keep {keep!r} is not a KeepSet")
     return ReductionMap._of(keep, source_net.net_id, target_net.net_id)
 
 

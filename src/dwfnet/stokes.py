@@ -11,17 +11,18 @@ subsystem selection matrices T_k of the reduction formula
 `stokes_from_rho` is `translations.pauli_grid` in Stokes order and
 `stokes_from_dwf` is S = H W, both read off the value's memoised,
 net-independent Stokes grid; H = diag(c) K lives in `nets` (re-exported
-here).  F and G are K^T diag(y) K / N^2 with y the sign each word picks up
-under complex conjugation (F) or the spin flip (G), the same for every net
-and cached per size: `conjugate_dwf` and `spinflip_dwf` multiply the DWF's
-S by y and map back to its net with `wigner._dwf_on`, the `_matrix`
-functions build them.
+here).  F and G are K^T diag(y) K / N^2 with y[x, z] the sign word
+i^{|x & z|} X^x Z^z picks up, the same for every net: complex conjugation
+(F) flips its |x & z| Y factors, so y = WH of `translations.xz_tables`, and
+the spin flip (G) its |x | z| non-identity factors.  `conjugate_dwf` and
+`spinflip_dwf` multiply the DWF's S by y and map back to its net with
+`wigner._dwf_on`; the `_matrix` functions read the dense map off
+`wigner._from_stokes(y)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -29,14 +30,10 @@ from .errors import ValidationError
 from .ffield import check_degree
 # HadamardMatrix, hadamard_matrix and pauli_words are re-exported here
 from .nets import HadamardMatrix, QuantumNet, hadamard_matrix
-from .translations import CONJ_SIGNS, _xz_tables, pauli_words
+from .translations import _xz_tables, pauli_words
 from .wigner import (
-    DensityState, WignerFunction, _dwf_on, _field_array, _read_only, _Settled, _sign_matrix,
+    DensityState, WignerFunction, _dwf_on, _field_array, _from_stokes, _read_only, _Settled,
 )
-
-# per-qubit signs of F and G: conj(sigma_j) = CONJ_SIGNS[j] sigma_j and
-# sigma_y conj(sigma_j) sigma_y = -sigma_j for j > 0
-_MAP_SIGNS = {"F": CONJ_SIGNS, "G": np.array([1, -1, -1, -1])}
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +70,18 @@ def stokes_from_dwf(w: WignerFunction) -> StokesVector:
     return StokesVector._built(w.n, w._stokes.ravel()[_xz_tables(w.n).cells])
 
 
-@lru_cache(maxsize=16)
-def _word_signs(n: int, which: str) -> np.ndarray:
-    """The read-only Stokes grid y[x, z] of F or G: the product of each
-    word's per-qubit signs, built once per size and map."""
-    y = reduce(np.multiply.outer, [_MAP_SIGNS[which]] * n).ravel()[_xz_tables(n).stokes]
-    return _read_only(y)
+def _flip_signs(n: int) -> np.ndarray:
+    """G's Stokes grid (-1)^{|x | z|} = WH[x, z] WH[x, ~0] WH[~0, z]."""
+    wh = _xz_tables(n).wh
+    return wh * wh[:, -1:] * wh[-1:]
+
+
+def _sign_matrix(y: np.ndarray) -> np.ndarray:
+    """D = K^T diag(y) K / N^2 for the Stokes grid y[x, z]: K's columns are characters
+    of the cells' XOR group and a point's cell is XOR-linear in the point, so
+    D[beta, alpha] = (K^T y / N^2)[beta ^ alpha]."""
+    points = np.arange(y.size)
+    return _from_stokes(y, len(y).bit_length() - 1)[points[:, None] ^ points]
 
 
 def conjugation_matrix(net: QuantumNet) -> np.ndarray:
@@ -87,7 +90,7 @@ def conjugation_matrix(net: QuantumNet) -> np.ndarray:
     F is real, satisfies F @ F = I, and is the same matrix for every net of
     a given size.
     """
-    return _sign_matrix(_word_signs(net.n_qubits, "F"))
+    return _sign_matrix(_xz_tables(net.n_qubits).wh)
 
 
 def spinflip_matrix(net: QuantumNet) -> np.ndarray:
@@ -96,14 +99,14 @@ def spinflip_matrix(net: QuantumNet) -> np.ndarray:
     G is F with rows permuted by the phase-space translation whose operator
     is sigma_y^(xn) up to phase.
     """
-    return _sign_matrix(_word_signs(net.n_qubits, "G"))
+    return _sign_matrix(_flip_signs(net.n_qubits))
 
 
 def conjugate_dwf(w: WignerFunction) -> WignerFunction:
     """F W: the DWF of conj(rho) on the same net, without building F."""
-    return _dwf_on(w.net_id, w._stokes * _word_signs(w.n, "F"))
+    return _dwf_on(w.net_id, w._stokes * _xz_tables(w.n).wh)
 
 
 def spinflip_dwf(w: WignerFunction) -> WignerFunction:
     """G W: the spin-flipped state's DWF on the same net, without building G."""
-    return _dwf_on(w.net_id, w._stokes * _word_signs(w.n, "G"))
+    return _dwf_on(w.net_id, w._stokes * _flip_signs(w.n))

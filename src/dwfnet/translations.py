@@ -50,8 +50,6 @@ _SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-# conj(sigma_j) = CONJ_SIGNS[j] sigma_j
-CONJ_SIGNS = np.array([1, 1, -1, 1])
 # Stokes digit of the single-qubit translation X^x Z^z, by label 2x + z
 _STOKES_DIGIT = np.array([0, 3, 1, 2])
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])

@@ -11,7 +11,7 @@ point alpha at [z_alpha, x_alpha] of an N x N grid: K W = WH W_grid WH
 (`_to_stokes`) and K^T S / N^2 = (WH / N) S (WH / N) (`_from_stokes`).  A
 DWF holds its Stokes grid S = H W, which does not depend on the net, and
 every map of the package acts on S alone: the state's Pauli grid, S itself
-for net conversion, S times the net-independent signs of F or G, or the
+for net conversion, S times a +-1 grid read off WH for F or G, or the
 kept words S[words] of a reduction (T_k).  The net enters only through
 `_dwf_on`, the one way back: W = K^T (c S) / N^2.  Every DWF a transform
 builds comes from `_dwf_on` and keeps the grid it was built from (all DWFs of
@@ -251,17 +251,6 @@ def _dwf_on(net_id: int, s: np.ndarray) -> WignerFunction:
     value = object.__new__(WignerFunction)
     vars(value).update(n=k, net_id=net_id, w=w, _stokes=_read_only(s))
     return value
-
-
-def _sign_matrix(y: np.ndarray) -> np.ndarray:
-    """The dense matrix D = K^T diag(y) K / N^2 of a Stokes-diagonal map
-    with +-1 grid y[x, z], such as F or G.
-    K's columns are characters of the XOR group of (x, z) masks, so
-    D[beta, alpha] = D[beta ^ alpha, 0] = (K^T y)[beta ^ alpha] / N^2."""
-    n = len(y).bit_length() - 1
-    _, half, grid, _ = _layout(n)
-    column = (half @ y @ half).ravel()  # `_from_stokes(y)` on the grid
-    return column[grid[:, None] ^ grid]
 
 
 def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:

@@ -17,11 +17,13 @@ from dwfnet import (
     ReductionMap,
     StokesVector,
     WignerFunction,
+    build_net,
     line_probability,
     net_context,
     pauli_words,
     random_density,
     random_pure,
+    reduction_map,
 )
 from dwfnet.errors import FieldDomainError, UnsupportedDimensionError, ValidationError
 from dwfnet.translations import xz_tables
@@ -88,6 +90,11 @@ REJECTED = [
     ("KeepSet-keep-none", lambda: KeepSet(2, None), ValidationError),
     ("ReductionMap-keep-tuple", lambda: ReductionMap((0,), 0, 0), ValidationError),
     ("ReductionMap-keep-none", lambda: ReductionMap(None, 0, 0), ValidationError),
+    (
+        "reduction_map-keep-tuple",
+        lambda: reduction_map(build_net(net_context(2), 0), build_net(net_context(1), 0), (0,)),
+        ValidationError,
+    ),
     # net ids of a reduction map, checked against the keep set's sizes
     ("ReductionMap-source-bool", lambda: ReductionMap(KEEP, True, 0), ValidationError),
     ("ReductionMap-source-negative", lambda: ReductionMap(KEEP, -1, 0), ValidationError),

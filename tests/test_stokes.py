@@ -192,12 +192,23 @@ def test_stokes_from_dwf_is_h_times_w(n):
     assert np.max(np.abs(s.s - stokes_from_rho(state).s)) < 1e-12
 
 
-def test_sign_grids_are_cached_read_only():
+def test_sign_grids_are_the_per_qubit_products():
+    # each word's sign under F (conj flips Y) and G (every non-identity factor
+    # flips) is a product over its qubits' Pauli digits I, X, Y, Z
     for n in range(1, 6):
-        for which in "FG":
-            y = stokes._word_signs(n, which)
-            assert y is stokes._word_signs(n, which) and not y.flags.writeable
-            assert y.shape == (2**n, 2**n) and set(np.unique(y)) == {-1, 1}
+        t = translations.xz_tables(n)
+        digits = (t.stokes[..., None] >> 2 * np.arange(n)) & 3
+        conj, spin = (np.prod(np.array(v, float)[digits], -1) for v in ([1, 1, -1, 1], [1, -1, -1, -1]))
+        flip = stokes._flip_signs(n)
+        assert not t.wh.flags.writeable
+        assert t.wh.tobytes() == conj.tobytes()
+        assert flip.dtype == float and flip.tobytes() == spin.tobytes()
+        # the maps multiply a DWF's Stokes grid by exactly these grids
+        rng = np.random.default_rng(80 + n)
+        net = build_net(net_context(n), id_of([int(d) for d in rng.integers(0, 2**n, 2**n + 1)], 2**n))
+        w = dwf_from_rho(random_density(n, rng), net)
+        assert conjugate_dwf(w)._stokes.tobytes() == (w._stokes * t.wh).tobytes()
+        assert spinflip_dwf(w)._stokes.tobytes() == (w._stokes * flip).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

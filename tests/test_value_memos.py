@@ -41,7 +41,7 @@ from dwfnet import (
 )
 from dwfnet.errors import ValidationError
 from dwfnet.reduction import _kept_cells
-from dwfnet.translations import CONJ_SIGNS, operator_from_grid, pauli_grid, xz_tables
+from dwfnet.translations import operator_from_grid, pauli_grid, xz_tables
 from dwfnet.wigner import _dwf_on, _from_stokes, _to_stokes
 
 
@@ -85,7 +85,7 @@ def test_transforms_equal_the_direct_formulas(n):
         ks = np.ascontiguousarray(pauli_grid(state.rho, n).real) * c  # K W = c S
         assert same_bits(rho_from_dwf(w, net).rho, operator_from_grid(ks * c, n))
         assert same_bits(convert_net(w, other).w, _from_stokes(ks * (c * c_other), n))
-        assert same_bits(conjugate_dwf(w).w, _from_stokes(ks * word_signs(n, CONJ_SIGNS), n))
+        assert same_bits(conjugate_dwf(w).w, _from_stokes(ks * word_signs(n, [1, 1, -1, 1]), n))
         assert same_bits(spinflip_dwf(w).w, _from_stokes(ks * word_signs(n, [1, -1, -1, -1]), n))
         assert same_bits(reduce_dwf(w, rmap).w, _from_stokes(ks.ravel()[words] * y, keep.k))
 
@@ -125,7 +125,7 @@ def test_real_kernels_match_the_complex_formulas(n):
         ks = np.ascontiguousarray(pauli_grid(state.rho, n).real) * c  # K W = c S
         assert same_bits(rho_from_dwf(w, net).rho, complex_operator(ks * c, n))
         assert same_bits(convert_net(w, other).w, complex_from_stokes(ks * (c * c_other), n))
-        conj, flip = word_signs(n, CONJ_SIGNS), word_signs(n, [1, -1, -1, -1])
+        conj, flip = word_signs(n, [1, 1, -1, 1]), word_signs(n, [1, -1, -1, -1])
         assert same_bits(conjugate_dwf(w).w, complex_from_stokes(ks * conj, n))
         assert same_bits(spinflip_dwf(w).w, complex_from_stokes(ks * flip, n))
         reduced = complex_from_stokes(ks.ravel()[words] * y, keep.k)
