@@ -141,6 +141,8 @@ def shortcut_reduce(w: WignerFunction, net: QuantumNet, which: str) -> WignerFun
     Only defined when the net's point operators have the tensor-product
     structure; other nets raise.
     """
+    if which not in ("A", "B"):
+        raise ValidationError(f"which must be 'A' or 'B', got {which!r}")
     if net.n_qubits != 2:
         raise UnsupportedNetError("shortcut reduction is defined for two qubits")
     if w.n != 2 or w.net_id != net.net_id:
@@ -154,10 +156,8 @@ def shortcut_reduce(w: WignerFunction, net: QuantumNet, which: str) -> WignerFun
     if which == "A":
         out = np.bincount(labels[:, 0], weights=w.w, minlength=4)
         return WignerFunction._built(1, report.factor_a_net, out)
-    if which == "B":
-        marginal = np.bincount(labels[:, 1], weights=w.w, minlength=4)
-        return WignerFunction._built(1, report.factor_b_conj_net, 0.5 * _SIGN_KERNEL @ marginal)
-    raise ValidationError(f"which must be 'A' or 'B', got {which!r}")
+    marginal = np.bincount(labels[:, 1], weights=w.w, minlength=4)
+    return WignerFunction._built(1, report.factor_b_conj_net, 0.5 * _SIGN_KERNEL @ marginal)
 
 
 def concurrence_from_dwf(w: WignerFunction, source_net: QuantumNet) -> float:

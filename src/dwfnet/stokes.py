@@ -8,7 +8,7 @@ this convention H has pure +-1 entries, H^{-1} = H^T / N^2, and the
 subsystem selection matrices T_k of the reduction formula
 (`verify.selection_matrix`) are plain 0/1 matrices.  A 1/2^n rescaling recovers the normalized convention.
 
-`stokes_from_rho` is `translations.pauli_grid` in Stokes order and
+`stokes_from_rho` is Re `translations.pauli_grid` in Stokes order and
 `stokes_from_dwf` is S = H W, both read off the value's memoised,
 net-independent Stokes grid; H = diag(c) K lives in `nets` (re-exported
 here).  F and G are K^T diag(y) K / N^2 with y[x, z] the sign word
@@ -57,12 +57,8 @@ class StokesVector(_Settled):
 
 
 def stokes_from_rho(state: DensityState) -> StokesVector:
-    """s_j = Tr(rho Sigma_j); s[0] = 1 for unit-trace inputs."""
-    # the cells are a permutation of the grid, so the state's memoised
-    # max |Im P| is the largest residue among the components
-    if state._imag_max > 1e-10:
-        raise ValidationError("Stokes components carry imaginary residue")
-    return StokesVector._built(state.n, state._real.ravel()[_xz_tables(state.n).cells])
+    """s_j = Re Tr(rho Sigma_j); s[0] = 1 for unit-trace inputs."""
+    return StokesVector._built(state.n, state._stokes.ravel()[_xz_tables(state.n).cells])
 
 
 def stokes_from_dwf(w: WignerFunction) -> StokesVector:

@@ -328,7 +328,7 @@ def suite_wigner_roundtrip(r: SuiteResult, n: int) -> None:
 
 def dense_dwf(state, net) -> np.ndarray:
     """Oracle for W: (1/N) Tr(rho A_alpha) from the dense point operators,
-    complex so that an imaginary residue shows."""
+    complex so that an imaginary part shows."""
     return np.einsum("kab,ba->k", net.ops_array, state.rho) / net.order
 
 

@@ -3,7 +3,10 @@
 The Wigner value at point alpha is (1/N) Tr(rho A_alpha) for the net's
 point operator A_alpha; the inverse is rho = sum_alpha w_alpha A_alpha.
 Both are linear and well defined on any Hermitian unit-trace operator, so
-positivity violations only warn.
+positivity violations only warn.  The one Hermitian rule is
+`DensityState._settle`'s max |rho - rho^dag| <= `HERM_TOL`: a state is
+transformed through S = Re Tr(rho Sigma), the Pauli grid of the Hermitian
+part (rho + rho^dag) / 2, within `HERM_TOL` / 2 of rho per entry.
 
 Both run through Stokes space in the (x, z) mask layout of
 `translations.xz_tables` on the net's sign vector c, H = diag(c) K, with
@@ -15,15 +18,12 @@ for net conversion, S times a +-1 grid read off WH for F or G, or the
 kept words S[words] of a reduction (T_k).  The net enters only through
 `_dwf_on`, the one way back: W = K^T (c S) / N^2.  Every DWF a transform
 builds comes from `_dwf_on` and keeps the grid it was built from (all DWFs of
-a state share its real Pauli plane); only a DWF a caller constructs (or the
-cross-check `shortcut_reduce` builds) derives S = c (K W) from W, once, on first use.
+a state share its S); only a DWF a caller constructs (or the cross-check
+`shortcut_reduce` builds) derives S = c (K W) from W, once, on first use.
 
-Every kernel is real float64: the +-1 WH is never cast to complex, and the
-1 / N^2 rides exactly in the cached WH / N, so no kernel ends with a
-division.  Complex numbers appear only at the rho boundary: `dwf_from_rho`
-transforms the real part of the state's Pauli grid (the imaginary part only
-when the state's largest imaginary Pauli component reaches the tolerance),
-and `rho_from_dwf` fills the two planes of rho from two real products.
+Every kernel is real float64: the +-1 WH is never cast to complex, the
+1 / N^2 rides exactly in the cached WH / N so no kernel ends with a division,
+and complex numbers meet only the rho boundary, `pauli_grid` and its inverse.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def _check_norm(a: np.ndarray, key: str, order: int, weight: float) -> None:
 # the array a caller passes (copied and screened by `_field_array` and
 # `_check_norm` first) and for an array the library has just built (`_built`,
 # not copied; `_dwf_on` runs only the DWF sum rule).  The net-independent
-# Stokes grid of a value (a state's Pauli grid, a DWF's S) is memoised
-# read-only, so a value met by several nets or maps is transformed at most once.
+# Stokes grid `_stokes` of a value is memoised read-only, so a value met by
+# several nets or maps is transformed at most once.
 
 
 class _Settled:
@@ -120,8 +120,10 @@ class DensityState(_Settled):
 
     def __post_init__(self):
         check_degree(self.n)
-        rho = _field_array(self.rho, "rho", complex, (2**self.n,) * 2)
-        _check_norm(rho, "rho", 2**self.n, 1.0)  # before the eigenvalue test would warn on it
+        dim = 2**self.n
+        rho = _field_array(self.rho, "rho", complex, (dim, dim))
+        if rho.shape == (dim, dim):  # else `_settle` names the shape
+            _check_norm(rho, "rho", dim, 1.0)  # before the eigenvalue test would warn on it
         self._settle(rho)
 
     def _settle(self, rho: np.ndarray) -> None:
@@ -157,20 +159,10 @@ class DensityState(_Settled):
         object.__setattr__(self, "rho", _read_only(rho))
 
     @cached_property
-    def _pauli(self) -> np.ndarray:
-        """Tr(rho Sigma) as the read-only grid [x, z] of `pauli_grid`."""
-        return _read_only(pauli_grid(self.rho, self.n))
-
-    @cached_property
-    def _real(self) -> np.ndarray:
-        """Re P, read-only and C-contiguous: the S every DWF of the state shares."""
-        return _read_only(np.ascontiguousarray(self._pauli.real))
-
-    @cached_property
-    def _imag_max(self) -> float:
-        """max |Im P|, which bounds |Im W| on every net and decides the
-        residue test of `stokes_from_rho`."""
-        return float(np.abs(self._pauli.imag).max())
+    def _stokes(self) -> np.ndarray:
+        """S = Re Tr(rho Sigma), the Pauli grid [x, z] of (rho + rho^dag) / 2,
+        read-only and C-contiguous: the S every DWF of the state shares."""
+        return _read_only(np.ascontiguousarray(pauli_grid(self.rho, self.n).real))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +236,7 @@ def _dwf_on(net_id: int, s: np.ndarray) -> WignerFunction:
     """The DWF on net `net_id` of the real k-qubit grid s[x, z], which every
     transform builds: W = H^T S / 4^k = K^T (c S) / 4^k, k read off s's shape.
     It keeps s, C-contiguous at every caller, as S, so a state's DWFs share its
-    plane `_real`.  Of `_settle` only the sum rule runs; `_signs_by_id` checks new ids."""
+    grid `_stokes`.  Of `_settle` only the sum rule runs; `_signs_by_id` checks new ids."""
     k = len(s).bit_length() - 1
     w = _read_only(_from_stokes(s * _signs_by_id(k, net_id), k))
     _sum_rule(w)
@@ -257,14 +249,7 @@ def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
     """w_alpha = (1/N) Tr(rho A_alpha)."""
     if state.n != net.n_qubits:
         raise ValidationError(f"state has n={state.n} but net is for n={net.n_qubits}")
-    # H's entries are +-1, so |Im W| <= sum |Im P| / 4^n <= max |Im P|; below
-    # half the tolerance no rounding can lift a value past it, and only the
-    # other states transform Im P to decide
-    if state._imag_max > HERM_TOL / 2:
-        c = _signs_by_id(state.n, net.net_id)
-        if np.max(np.abs(_from_stokes(state._pauli.imag * c, state.n))) > HERM_TOL:
-            raise ValidationError("Wigner values carry imaginary residue; input not Hermitian")
-    return _dwf_on(net.net_id, state._real)
+    return _dwf_on(net.net_id, state._stokes)
 
 
 def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwfnet import DensityState, build_net, dwf_from_rho, jsonio, net_context, random_density
+from dwfnet import (
+    DensityState, build_net, dwf_from_rho, jsonio, net_context, random_density, random_pure,
+)
 from dwfnet.cli import main
 
 
@@ -320,6 +322,43 @@ def test_verify_output_is_pinned(capsys, n, digest):
     code, out, _ = run(capsys, ["verify", "--n", n])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def pinned_requests():
+    """Seeded document requests on physical states: stokes and compute on
+    three nets per state, and to-rho, convert, reduce, spinflip and conjugate
+    on each DWF, at n = 1..3, plus concurrence of the pure n = 2 DWFs."""
+    for n in (1, 2, 3):
+        rng = np.random.default_rng([2430, n])
+        ctx = net_context(n)
+        ids = [0, ctx.net_count - 1, int(rng.integers(ctx.net_count))]
+        for state, pure in ((random_density(n, rng), False), (random_pure(n, rng), True)):
+            doc = state_doc(n, state.rho)
+            yield ["stokes"], doc
+            for net_id in ids:
+                yield ["compute", "--net", str(net_id)], doc
+                w_doc = jsonio.dumps(jsonio.dwf_to_doc(dwf_from_rho(state, build_net(ctx, net_id))))
+                keep = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+                target = rng.integers(net_context(len(keep)).net_count)
+                yield ["to-rho"], w_doc
+                yield ["convert", "--net-out", str(rng.integers(ctx.net_count))], w_doc
+                yield ["reduce", "--keep", ",".join(map(str, keep)), "--net-out", str(target)], w_doc
+                yield ["spinflip"], w_doc
+                yield ["conjugate"], w_doc
+                if n == 2 and pure:
+                    yield ["concurrence"], w_doc
+
+
+def test_document_commands_are_pinned(capsys, monkeypatch):
+    # the stdout and exit code of every document command at n <= 3, where net
+    # ids are stable, hashed together; the floats come from this numpy build's
+    # matrix products, so the digest pins outputs on one platform
+    digest = hashlib.sha256()
+    for argv, doc in pinned_requests():
+        code, out, err = run(capsys, argv, doc, monkeypatch)
+        assert (code, err) == (0, ""), argv
+        digest.update(f"{argv} {code}\n{out}".encode())
+    assert digest.hexdigest() == "df801d1e04eb641250ae0016447e1efd74c7c7675e31670d399ca4852b5d7b19"
 
 
 @pytest.mark.parametrize("module", ["dwfnet", "dwfnet.cli"])

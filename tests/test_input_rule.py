@@ -1,9 +1,10 @@
 """The one integer rule (`errors.check_int`) at every public entry point.
 
 Each row of the rejection table is a bad qubit count, field element,
-exponent, point index or keep set that an entry point once accepted, or
-failed on later with a raw TypeError, AttributeError or IndexError.  Now
-each raises its entry point's own error class up front.
+exponent, point index, keep set or subsystem label that an entry point once
+accepted, or failed on later with a raw TypeError, AttributeError or
+IndexError or another check's error.  Now each raises its entry point's own
+error class up front.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from dwfnet import (
     random_density,
     random_pure,
     reduction_map,
+    shortcut_reduce,
 )
 from dwfnet.errors import FieldDomainError, UnsupportedDimensionError, ValidationError
 from dwfnet.translations import xz_tables
@@ -93,6 +95,12 @@ REJECTED = [
     (
         "reduction_map-keep-tuple",
         lambda: reduction_map(build_net(net_context(2), 0), build_net(net_context(1), 0), (0,)),
+        ValidationError,
+    ),
+    # the subsystem of the product shortcut, named before the net is examined
+    (
+        "shortcut_reduce-which-on-a-non-product-net",
+        lambda: shortcut_reduce(WignerFunction(2, 1, flat(16)), build_net(net_context(2), 1), "C"),
         ValidationError,
     ),
     # net ids of a reduction map, checked against the keep set's sizes

@@ -132,6 +132,14 @@ def test_wrong_shape_is_named_before_a_non_finite_entry():
         DensityState(1, np.full((4, 4), np.nan))
 
 
+def test_wrong_shape_is_named_before_the_norm_bound():
+    # an array of the wrong shape is never measured against the bound
+    with pytest.raises(ValidationError, match="rho must be 2x2 for n=1"):
+        DensityState(1, np.full((3, 3), 1e300))
+    with pytest.raises(ValidationError, match="w must have length 4 for n=1"):
+        WignerFunction(1, 0, np.full(3, 1e300))
+
+
 def test_maximally_mixed_is_uniform():
     for m in [1, 2]:
         ctx = net_context(m)
@@ -253,16 +261,3 @@ def test_pauli_transform_round_trip():
         assert s.shape == (dim, dim)
         assert s[0, 0] == pytest.approx(np.trace(a))
         assert np.max(np.abs(operator_from_grid(s, m) - a)) < 1e-12
-
-
-def test_imaginary_residue_rejected():
-    # a state that bypassed validation still cannot be transformed
-    ctx = net_context(2)
-    state = DensityState(2, np.eye(4) / 4)
-    skew = np.eye(4, dtype=complex) / 4
-    skew[0, 1] = 1e-6j
-    object.__setattr__(state, "rho", skew)
-    with pytest.raises(ValidationError, match="imaginary residue"):
-        dwf_from_rho(state, build_net(ctx, 9))
-    with pytest.raises(ValidationError, match="imaginary residue"):
-        stokes_from_rho(state)
