@@ -20,6 +20,9 @@ kept words S[words] of a reduction (T_k).  The net enters only through
 builds comes from `_dwf_on` and keeps the grid it was built from (all DWFs of
 a state share its S); only a DWF a caller constructs (or the cross-check
 `shortcut_reduce` builds) derives S = c (K W) from W, once, on first use.
+The state-side way back is `_state_of`: rho = sum_j S_j Sigma_j / N from
+`operator_from_grid`, Hermitian bit for bit by construction, so a rebuilt
+state runs only the trace and PSD rules.
 
 Every kernel is real float64: the +-1 WH is never cast to complex, the
 1 / N^2 rides exactly in the cached WH / N so no kernel ends with a division,
@@ -91,7 +94,8 @@ def _check_norm(a: np.ndarray, key: str, order: int, weight: float) -> None:
 # Each value type checks its array in `_settle`, the one set of checks for
 # the array a caller passes (copied and screened by `_field_array` and
 # `_check_norm` first) and for an array the library has just built (`_built`,
-# not copied; `_dwf_on` runs only the DWF sum rule).  The net-independent
+# not copied; `_dwf_on` runs only the DWF sum rule and `_state_of` only the
+# state's trace and PSD rules, `_trace_and_psd`).  The net-independent
 # Stokes grid `_stokes` of a value is memoised read-only, so a value met by
 # several nets or maps is transformed at most once.
 
@@ -133,29 +137,12 @@ class DensityState(_Settled):
         # a non-finite entry leaves the Hermitian residual non-finite, so
         # only then are the entries themselves scanned
         residual = np.abs(rho - rho.conj().T).max()
-        if not math.isfinite(residual) and not np.isfinite(rho).all():
-            raise ValidationError('field "rho" has a non-finite entry')
+        if not math.isfinite(residual):
+            _refuse_non_finite(rho)
         if residual > HERM_TOL:
             raise ValidationError("rho is not Hermitian")
-        trace = rho.trace().real
-        if abs(trace - 1.0) > 1e-8:
-            raise ValidationError(f"rho has trace {float(trace)}, not 1")
-        # rho - PSD_TOL I has a finite Cholesky factor when no eigenvalue of
-        # rho lies below PSD_TOL, so only a failure needs the eigenvalues;
-        # a factor that overflowed to inf or NaN counts as a failure
-        try:
-            factored = cmath.isfinite(np.linalg.cholesky(rho + _psd_shift(dim)).sum())
-        except np.linalg.LinAlgError:
-            factored = False
-        if not factored:
-            smallest = float(np.linalg.eigvalsh(rho)[0])
-            if smallest < PSD_TOL:
-                # level 4: the caller of the constructor or of `_built`'s caller
-                warnings.warn(
-                    f"rho has negative eigenvalue {smallest:.3e}; transforms "
-                    "remain well defined on Hermitian inputs",
-                    stacklevel=4,
-                )
+        # level 5: the caller of the constructor or of `_built`'s caller
+        _trace_and_psd(rho, stacklevel=5)
         object.__setattr__(self, "rho", _read_only(rho))
 
     @cached_property
@@ -195,6 +182,37 @@ class WignerFunction(_Settled):
     @property
     def order(self) -> int:
         return 2**self.n
+
+
+def _refuse_non_finite(rho: np.ndarray) -> None:
+    if not np.isfinite(rho).all():
+        raise ValidationError('field "rho" has a non-finite entry')
+
+
+def _trace_and_psd(rho: np.ndarray, stacklevel: int) -> None:
+    """The trace rule, then the PSD test, on a Hermitian rho; a negative
+    eigenvalue warns at `stacklevel` from here.  A non-finite entry fails
+    one of them, so only their failure paths scan for one."""
+    trace = rho.trace().real
+    if abs(trace - 1.0) > 1e-8:
+        _refuse_non_finite(rho)
+        raise ValidationError(f"rho has trace {float(trace)}, not 1")
+    # rho - PSD_TOL I has a finite Cholesky factor when no eigenvalue of
+    # rho lies below PSD_TOL, so only a failure needs the eigenvalues;
+    # a factor that overflowed to inf or NaN counts as a failure
+    try:
+        factored = cmath.isfinite(np.linalg.cholesky(rho + _psd_shift(len(rho))).sum())
+    except np.linalg.LinAlgError:
+        factored = False
+    if not factored:
+        _refuse_non_finite(rho)
+        smallest = float(np.linalg.eigvalsh(rho)[0])
+        if smallest < PSD_TOL:
+            warnings.warn(
+                f"rho has negative eigenvalue {smallest:.3e}; transforms "
+                "remain well defined on Hermitian inputs",
+                stacklevel=stacklevel,
+            )
 
 
 @lru_cache(maxsize=8)
@@ -245,6 +263,18 @@ def _dwf_on(net_id: int, s: np.ndarray) -> WignerFunction:
     return value
 
 
+def _state_of(s: np.ndarray) -> DensityState:
+    """The k-qubit state of a real grid s[x, z], k read off its shape, as
+    `rho_from_dwf` rebuilds it: `operator_from_grid` makes rho Hermitian and
+    of the right shape, so of `_settle` only `_trace_and_psd` runs."""
+    k = len(s).bit_length() - 1
+    rho = _read_only(operator_from_grid(s, k))
+    _trace_and_psd(rho, stacklevel=4)  # the caller of `rho_from_dwf`
+    value = object.__new__(DensityState)
+    vars(value).update(n=k, rho=rho)
+    return value
+
+
 def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
     """w_alpha = (1/N) Tr(rho A_alpha)."""
     if state.n != net.n_qubits:
@@ -259,7 +289,7 @@ def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
             f"Wigner function (n={w.n}, net {w.net_id}) does not match "
             f"net {net.net_id} (n={net.n_qubits})"
         )
-    return DensityState._built(w.n, operator_from_grid(w._stokes, w.n))
+    return _state_of(w._stokes)
 
 
 def line_probability(w: WignerFunction, line: np.ndarray) -> float:

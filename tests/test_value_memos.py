@@ -97,9 +97,11 @@ def complex_from_stokes(s, n):
 
 
 def complex_operator(s, n):
-    """sum_j s_j Sigma_j / N written as one complex product and a division."""
+    """sum_j s_j Sigma_j / N written as one complex product M and a division,
+    reading rho[b, a] = M[a ^ b, a] at every cell."""
     t = xz_tables(n)
-    return ((t.phase * s) @ t.wh).ravel()[t.scatter] / 2**n
+    b, a = np.indices(s.shape)
+    return ((t.phase * s) @ t.wh)[a ^ b, a] / 2**n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
