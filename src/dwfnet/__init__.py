@@ -64,53 +64,6 @@ from .reduction import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF2m",
-    "PhaseSpace",
-    "NetContext",
-    "QuantumNet",
-    "ProductReport",
-    "net_context",
-    "build_net",
-    "enumerate_nets",
-    "classify_nets",
-    "detect_product_structure",
-    "translate_net_id",
-    "digits_of",
-    "id_of",
-    "DensityState",
-    "WignerFunction",
-    "dwf_from_rho",
-    "rho_from_dwf",
-    "line_probability",
-    "purity_from_dwf",
-    "random_density",
-    "random_pure",
-    "StokesVector",
-    "HadamardMatrix",
-    "stokes_from_rho",
-    "stokes_from_dwf",
-    "hadamard_matrix",
-    "conjugation_matrix",
-    "spinflip_matrix",
-    "conjugate_dwf",
-    "spinflip_dwf",
-    "pauli_words",
-    "KeepSet",
-    "ReductionMap",
-    "reduction_map",
-    "reduce_dwf",
-    "convert_net",
-    "shortcut_reduce",
-    "concurrence_from_dwf",
-    "DwfError",
-    "FieldDomainError",
-    "UnsupportedDimensionError",
-    "DimensionMismatchError",
-    "NonCommutingError",
-    "NetConstructionError",
-    "NetMismatchError",
-    "ValidationError",
-    "PurityError",
-    "UnsupportedNetError",
-]
+# The public API is every non-private, non-module name the imports above bind.
+__all__ = [name for name, value in vars().items()
+           if not name.startswith("_") and not isinstance(value, type(errors))]

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import UnsupportedDimensionError, ValidationError
 from .ffield import SUPPORTED_DEGREES, GF2m, check_degree
 from .nets import (
+    FULL_ENUMERATION_LIMIT,
     build_net,
     classify_nets,
     detect_product_structure,
@@ -96,14 +97,18 @@ def _suite(name: str, sizes=SUPPORTED_DEGREES):
     """Register `body(r, n)` as the suite `name`, defined at the qubit counts
     `sizes` (default: every size the field takes).  The registered callable
     takes n, refuses an undeclared n before any work, and returns the
-    SuiteResult `r` that the body filled."""
+    SuiteResult `r` that the body filled; an exception from the body is one
+    more failure of `r`."""
 
     def register(body):
         def suite(n: int) -> SuiteResult:
             if n not in suite.sizes:
                 raise UnsupportedDimensionError(f"suite {name} not defined at n={n}")
             r = SuiteResult(name, n)
-            body(r, n)
+            try:
+                body(r, n)
+            except Exception as exc:  # a library defect: this suite fails, the others still run
+                r.failures.append(f"raised {type(exc).__name__}: {exc}")
             return r
 
         suite.__name__ = suite.__qualname__ = body.__name__
@@ -120,8 +125,9 @@ def _gap(a, b, axis=None):
 
 
 def _net_ids(ctx, sample_large: int = 100):
-    """All ids for N <= 4, a deterministic sample above."""
-    return list(enumerate_nets(ctx, sample=None if ctx.order <= 4 else sample_large))
+    """All ids where `enumerate_nets` allows it, a deterministic sample above."""
+    full = ctx.order <= FULL_ENUMERATION_LIMIT
+    return list(enumerate_nets(ctx, sample=None if full else sample_large))
 
 
 @_suite("field-axioms")

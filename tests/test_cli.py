@@ -265,6 +265,27 @@ def test_nets_refuses_full_large(capsys, monkeypatch):
     assert "refused" in err
 
 
+ONE_QUBIT_DWF_DOC = jsonio.dumps(
+    jsonio.dwf_to_doc(dwf_from_rho(DensityState(1, np.eye(2) / 2), build_net(net_context(1), 0)))
+)
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["reduce", "--keep", "0,x", "--net-out", "0"], bell_dwf_doc(),
+         "--keep must be comma-separated integers: '0,x'"),
+        (["concurrence"], ONE_QUBIT_DWF_DOC, "concurrence is defined for two-qubit DWFs and nets"),
+        (["nets", "--n", "3", "--sample", "4", "--classify"], None,
+         "classification over all 134217728 nets refused for N=8"),
+    ],
+    ids=["reduce-keep-not-integers", "concurrence-one-qubit", "nets-classify-n3"],
+)
+def test_refusal_exits_2_with_its_message(capsys, monkeypatch, argv, doc, message):
+    code, out, err = run(capsys, argv, doc, monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_invalid_trace_exits_2(capsys, monkeypatch):
     doc = state_doc(1, np.diag([0.9, 0.0]))
     code, _, err = run(capsys, ["compute", "--net", "0"], doc, monkeypatch)
@@ -314,6 +335,7 @@ def test_verify_unknown_suite_exits_2(capsys):
     "n, digest",
     [
         ("1", "8007ee2bb290cedde0eab3cf6bcb596b2730768cd6fc210b2387d48836dfce8e"),
+        ("2", "cd9bae21004d21c766c7583801b8a7cc070d0028b730739f66089775fe1d1c84"),
         ("3", "194dc37b5e5e83d99ef947118854edcc8ccdc1beba3cc69198886bc74912d72d"),
     ],
 )

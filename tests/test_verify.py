@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from dwfnet.errors import UnsupportedDimensionError
+from dwfnet import verify
+from dwfnet.cli import main
+from dwfnet.errors import UnsupportedDimensionError, ValidationError
 from dwfnet.ffield import SUPPORTED_DEGREES
 from dwfnet.verify import SUITES, SuiteResult, run_suites
 
@@ -76,3 +78,29 @@ def test_run_suites_selects_the_declared_suites(monkeypatch):
         assert run_suites(n) == [name for name in SUITES if n in SUITES[name].sizes]
         assert not set(ran) & set(UNDECLARED)
     assert len(UNDECLARED) == 11  # net-census at n = 3..5, the two n = 2 suites at 1, 3, 4, 5
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ValidationError("state is not a state"), IndexError("index 9 is out of bounds")],
+    ids=["dwf-error", "index-error"],
+)
+def test_a_suite_that_raises_fails_alone(capsys, monkeypatch, error):
+    # a library defect is a FAIL line of the suite that met it, not bad input
+    assert main(["verify", "--n", "1"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+
+    def conjugation_matrix(net):
+        raise error
+
+    monkeypatch.setattr(verify, "conjugation_matrix", conjugation_matrix)
+    assert main(["verify", "--n", "1"]) == 3
+    out, err = capsys.readouterr()
+    raised = f"FAIL conjugation (n=1): 0 checks [raised {type(error).__name__}: {error}]"
+    lines = [raised if line.startswith("PASS conjugation ") else line for line in clean[:-1]]
+    assert out.splitlines() == lines + [f"{len(lines) - 1}/{len(lines)} suites passed"]
+    assert err == ""
+    # bad input is still refused before any suite runs
+    for argv in (["--suite", "concurrence"], ["--suite", "bogus"]):
+        assert main(["verify", "--n", "1", *argv]) == 2
+        assert capsys.readouterr().out == ""
