@@ -21,8 +21,10 @@ from . import jsonio
 from .errors import (
     DwfError,
     NetConstructionError,
+    UnsupportedDimensionError,
     ValidationError,
 )
+from .ffield import check_degree
 from .nets import (
     build_net,
     classify_nets,
@@ -117,11 +119,12 @@ def _concurrence(w, args) -> dict:
 
 
 def _cmd_nets(args) -> int:
-    ctx = net_context(args.n)
-    if args.describe is not None:
-        digits = digits_of(args.describe, ctx.order)
+    if args.describe is not None:  # the digits alone: no net context is built
+        n = check_degree(args.n, error=UnsupportedDimensionError)  # as `net_context` checks n
+        digits = digits_of(args.describe, 2**n)
         _write(args.output, {"id": args.describe, "digits": list(digits)})
         return 0
+    ctx = net_context(args.n)
     ids = list(enumerate_nets(ctx, sample=args.sample))
     orbit_of = {}
     if args.classify:
@@ -151,65 +154,79 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(results) else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("compute", "to-rho", "stokes", "reduce", "convert", "spinflip", "conjugate",
+             "nets", "concurrence", "verify")
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser; given `argv`, only the subcommand its first command
+    token names gets its arguments.  The top-level parser takes no option with
+    a value, so argparse picks that command and parses with its subparser alone."""
     parser = argparse.ArgumentParser(
         prog="dwfnet",
         description="Discrete Wigner functions of multiqubit states over "
         "finite-field phase spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((a for a in argv if a in _COMMANDS), "")
+
+    def command(name, help):
+        """The subparser of `name` if it takes its arguments here, else None."""
+        p = sub.add_parser(name, help=help)
+        return p if named in (None, name) else None
 
     def document(p, parse, act):
         p.add_argument("-i", "--input", default=None, help="input file (default stdin)")
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
         p.set_defaults(func=_run, parse=parse, act=act)
 
-    p = sub.add_parser("compute", help="density matrix -> DWF")
-    p.add_argument("--net", type=int, required=True, help="net id")
-    document(p, jsonio.parse_state, _compute)
-    document(sub.add_parser("to-rho", help="DWF -> density matrix"), jsonio.parse_dwf, _to_rho)
-    document(sub.add_parser("stokes", help="density matrix -> Stokes vector"),
-             jsonio.parse_state, _stokes)
+    if p := command("compute", "density matrix -> DWF"):
+        p.add_argument("--net", type=int, required=True, help="net id")
+        document(p, jsonio.parse_state, _compute)
+    if p := command("to-rho", "DWF -> density matrix"):
+        document(p, jsonio.parse_dwf, _to_rho)
+    if p := command("stokes", "density matrix -> Stokes vector"):
+        document(p, jsonio.parse_state, _stokes)
 
-    p = sub.add_parser("reduce", help="DWF -> subsystem DWF")
-    p.add_argument("--keep", required=True, help="comma-separated qubit positions")
-    p.add_argument("--net-in", type=int, default=None, help="expected source net id")
-    p.add_argument("--net-out", type=int, required=True, help="target net id")
-    document(p, jsonio.parse_dwf, _reduce)
+    if p := command("reduce", "DWF -> subsystem DWF"):
+        p.add_argument("--keep", required=True, help="comma-separated qubit positions")
+        p.add_argument("--net-in", type=int, default=None, help="expected source net id")
+        p.add_argument("--net-out", type=int, required=True, help="target net id")
+        document(p, jsonio.parse_dwf, _reduce)
 
-    p = sub.add_parser("convert", help="re-express a DWF in another net")
-    p.add_argument("--net-out", type=int, required=True)
-    document(p, jsonio.parse_dwf, _convert)
-    document(sub.add_parser("spinflip", help="apply the spin-flip matrix G"),
-             jsonio.parse_dwf, _spinflip)
-    document(sub.add_parser("conjugate", help="apply the conjugation matrix F"),
-             jsonio.parse_dwf, _conjugate)
+    if p := command("convert", "re-express a DWF in another net"):
+        p.add_argument("--net-out", type=int, required=True)
+        document(p, jsonio.parse_dwf, _convert)
+    if p := command("spinflip", "apply the spin-flip matrix G"):
+        document(p, jsonio.parse_dwf, _spinflip)
+    if p := command("conjugate", "apply the conjugation matrix F"):
+        document(p, jsonio.parse_dwf, _conjugate)
 
-    p = sub.add_parser("nets", help="net atlas / classification")
-    p.add_argument("--n", type=int, required=True, help="qubit count")
-    p.add_argument("--classify", action="store_true", help="add orbit labels")
-    p.add_argument(
-        "--detect-product", action="store_true", help="add product-structure labels"
-    )
-    p.add_argument("--describe", type=int, default=None, help="describe one net id")
-    p.add_argument("--sample", type=int, default=None, help="sample count for n >= 3")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_nets)
+    if p := command("nets", "net atlas / classification"):
+        p.add_argument("--n", type=int, required=True, help="qubit count")
+        p.add_argument("--classify", action="store_true", help="add orbit labels")
+        p.add_argument(
+            "--detect-product", action="store_true", help="add product-structure labels"
+        )
+        p.add_argument("--describe", type=int, default=None, help="describe one net id")
+        p.add_argument("--sample", type=int, default=None, help="sample count for n >= 3")
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=_cmd_nets)
 
-    document(sub.add_parser("concurrence", help="concurrence of a pure two-qubit DWF"),
-             jsonio.parse_dwf, _concurrence)
+    if p := command("concurrence", "concurrence of a pure two-qubit DWF"):
+        document(p, jsonio.parse_dwf, _concurrence)
 
-    p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--suite", default="all", help="suite name, or all (default)")
-    p.add_argument("--n", type=int, required=True, help="qubit count")
-    p.set_defaults(func=_cmd_verify)
+    if p := command("verify", "run invariant suites"):
+        p.add_argument("--suite", default="all", help="suite name, or all (default)")
+        p.add_argument("--n", type=int, required=True, help="qubit count")
+        p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except NetConstructionError as exc:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and its one integer rule."""
+"""Exception hierarchy shared across the package, its one integer rule and
+the frozen base of its value types."""
 
 from numbers import Integral
 
@@ -53,3 +54,36 @@ def check_int(value, start, stop, what: str, error: type = ValidationError) -> i
     if not start <= value < stop:
         raise error(f"{what} {value} out of range [{start}, {stop})")
     return value
+
+
+class _Frozen:
+    """Base of the package's value types.  Each subclass names its fields in
+    `__match_args__` and stores them through `vars(self)` in its own
+    `__init__`; they are read-only after that, and the repr is
+    `Type(field=value, ...)`.  Equality and hashing are by identity."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenValue(_Frozen):
+    """A `_Frozen` type that compares by value: equal only to the same class
+    with equal fields, and hashed as its field tuple."""
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())

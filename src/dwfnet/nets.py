@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
 from .errors import (
     NetConstructionError, UnsupportedDimensionError, UnsupportedNetError, ValidationError,
-    check_int,
+    _Frozen, _FrozenValue, check_int,
 )
 from .ffield import GF2m, check_degree
 from .phasespace import PhaseSpace
@@ -203,13 +202,13 @@ class QuantumNet:
         return self.ctx.n_qubits
 
 
-@dataclass(frozen=True, eq=False)
-class HadamardMatrix:
+class HadamardMatrix(_Frozen):
     """The +-1 matrix with H[j, alpha] = Tr(Sigma_j A_alpha) for one net."""
 
-    n: int
-    net_id: int
-    h: np.ndarray  # float64, exactly +-1; H^-1 = H^T / 4^n
+    __match_args__ = ("n", "net_id", "h")
+
+    def __init__(self, n: int, net_id: int, h: np.ndarray):
+        vars(self).update(n=n, net_id=net_id, h=h)  # h: float64, exactly +-1; H^-1 = H^T / 4^n
 
 
 @bytes_lru(lambda c: c.nbytes)
@@ -323,12 +322,17 @@ def classify_nets(ctx: NetContext) -> dict:
 # -- product structure (two-qubit nets) ----------------------------------
 
 
-@dataclass(frozen=True)
-class ProductReport:
-    is_product: bool
-    form: str  # "eq6", "eq7" or "none"
-    factor_a_net: int | None = None  # single-qubit net of the first factor
-    factor_b_conj_net: int | None = None  # net matching the conjugated second factor
+class ProductReport(_FrozenValue):
+    """Whether a two-qubit net is product-structured: `form` is "eq6", "eq7"
+    or "none"; `factor_a_net` is the single-qubit net of the first factor and
+    `factor_b_conj_net` the net matching the conjugated second factor."""
+
+    __match_args__ = ("is_product", "form", "factor_a_net", "factor_b_conj_net")
+
+    def __init__(self, is_product: bool, form: str, factor_a_net: int | None = None,
+                 factor_b_conj_net: int | None = None):
+        vars(self).update(is_product=is_product, form=form, factor_a_net=factor_a_net,
+                          factor_b_conj_net=factor_b_conj_net)
 
 
 @lru_cache(maxsize=None)

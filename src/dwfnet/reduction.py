@@ -19,35 +19,32 @@ concurrence evaluator for pure two-qubit states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError, NetMismatchError, PurityError, UnsupportedNetError, ValidationError,
-    check_int,
+    _FrozenValue, check_int,
 )
 from .ffield import check_degree
 from .nets import QuantumNet, check_net_id, detect_product_structure
 from .wigner import WignerFunction, _dwf_on, purity_from_dwf
 
 
-@dataclass(frozen=True)
-class KeepSet:
+class KeepSet(_FrozenValue):
     """The qubit positions retained by a reduction (0-based, ascending)."""
 
-    n: int
-    keep: tuple
+    __match_args__ = ("n", "keep")
 
-    def __post_init__(self):
-        n = check_degree(self.n)
-        if not np.iterable(self.keep):
-            raise ValidationError(f"keep {self.keep!r} is not a sequence of integers")
-        keep = tuple(check_int(q, 0, n, "keep position") for q in self.keep)
+    def __init__(self, n: int, keep: tuple):
+        qubits = check_degree(n)
+        if not np.iterable(keep):
+            raise ValidationError(f"keep {keep!r} is not a sequence of integers")
+        keep = tuple(check_int(q, 0, qubits, "keep position") for q in keep)
         if not keep or list(keep) != sorted(set(keep)):
             raise ValidationError(f"keep positions {keep} must be non-empty, strictly increasing")
-        object.__setattr__(self, "keep", keep)
+        vars(self).update(n=n, keep=keep)
 
     @property
     def k(self) -> int:
@@ -66,20 +63,18 @@ def _kept_cells(n: int, keep: tuple) -> np.ndarray:
     return words
 
 
-@dataclass(frozen=True)
-class ReductionMap:
+class ReductionMap(_FrozenValue):
     """A reduction as its keep set and both net ids, checked against the keep
     set's n and k.  No matrix is stored or built; `reduce_dwf` applies it."""
 
-    keep: KeepSet
-    source_net: int
-    target_net: int
+    __match_args__ = ("keep", "source_net", "target_net")
 
-    def __post_init__(self):
-        if not isinstance(self.keep, KeepSet):
-            raise ValidationError(f"keep {self.keep!r} is not a KeepSet")
-        check_net_id(self.source_net, 2**self.keep.n)
-        check_net_id(self.target_net, 2**self.keep.k)
+    def __init__(self, keep: KeepSet, source_net: int, target_net: int):
+        if not isinstance(keep, KeepSet):
+            raise ValidationError(f"keep {keep!r} is not a KeepSet")
+        check_net_id(source_net, 2**keep.n)
+        check_net_id(target_net, 2**keep.k)
+        vars(self).update(keep=keep, source_net=source_net, target_net=target_net)
 
     @classmethod
     def _of(cls, keep: KeepSet, source_net: int, target_net: int) -> ReductionMap:

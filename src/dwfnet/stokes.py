@@ -22,8 +22,6 @@ the spin flip (G) its |x | z| non-identity factors.  `conjugate_dwf` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -36,14 +34,13 @@ from .wigner import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class StokesVector(_Settled):
-    n: int
-    s: np.ndarray
+    __match_args__ = ("n", "s")
 
-    def __post_init__(self):
-        check_degree(self.n)
-        self._settle(_field_array(self.s, "s", float, (4**self.n,)))
+    def __init__(self, n: int, s: np.ndarray):
+        check_degree(n)
+        vars(self).update(n=n)
+        self._settle(_field_array(s, "s", float, (4**n,)))
 
     def _settle(self, s: np.ndarray) -> None:
         size = 4**self.n

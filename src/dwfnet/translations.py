@@ -37,12 +37,11 @@ operators of `nets`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NonCommutingError
+from .errors import NonCommutingError, _Frozen
 from .ffield import check_degree
 from .phasespace import PhaseSpace
 
@@ -76,8 +75,7 @@ def _pauli_words(n: int) -> np.ndarray:
     return words
 
 
-@dataclass(frozen=True)
-class XZTables:
+class XZTables(_Frozen):
     """Index tables of the (x, z) mask layout for n qubits, N = 2^n.
 
     Entry [x, z] of an (N, N) array belongs to the Pauli word
@@ -95,14 +93,11 @@ class XZTables:
     (a ^ b, min(a, b)), the imaginary part from -Im M when a > b.
     """
 
-    wh: np.ndarray
-    half: np.ndarray
-    gather: np.ndarray
-    scatter: np.ndarray
-    phase: np.ndarray
-    planes: np.ndarray
-    stokes: np.ndarray
-    cells: np.ndarray
+    __match_args__ = ("wh", "half", "gather", "scatter", "phase", "planes", "stokes", "cells")
+
+    def __init__(self, wh, half, gather, scatter, phase, planes, stokes, cells):
+        vars(self).update(wh=wh, half=half, gather=gather, scatter=scatter, phase=phase,
+                          planes=planes, stokes=stokes, cells=cells)
 
 
 def xz_tables(n: int) -> XZTables:

@@ -31,15 +31,13 @@ and complex numbers meet only the rho boundary, `pauli_grid` and its inverse.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NetMismatchError, ValidationError, check_int
+from .errors import NetMismatchError, ValidationError, _Frozen, check_int
 from .ffield import check_degree
 from .nets import QuantumNet, _signs_by_id, check_net_id, net_context
 from .translations import _xz_tables, operator_from_grid, pauli_grid
@@ -100,37 +98,36 @@ def _check_norm(a: np.ndarray, key: str, order: int, weight: float) -> None:
 # several nets or maps is transformed at most once.
 
 
-class _Settled:
-    """Base of the value types: a frozen dataclass whose last field is the
-    array its `_settle` checks and stores."""
+class _Settled(_Frozen):
+    """Base of the value types (array fields: equality and hashing by
+    identity): a frozen type whose last field is the array its `_settle`
+    checks and stores."""
 
     @classmethod
     def _built(cls, *fields):
         """The value of a library-built array for a checked n, without a
         copy: the scalar fields in order, then the array."""
         value = object.__new__(cls)
-        for name, field in zip(cls.__match_args__[:-1], fields):  # the dataclass's field names
-            object.__setattr__(value, name, field)
+        vars(value).update(zip(cls.__match_args__[:-1], fields))
         value._settle(fields[-1])
         return value
 
 
-@dataclass(frozen=True, eq=False)  # array fields: equality and hashing by identity
 class DensityState(_Settled):
     """A validated n-qubit density operator, holding a read-only copy."""
 
-    n: int
-    rho: np.ndarray
+    __match_args__ = ("n", "rho")
 
-    def __post_init__(self):
-        check_degree(self.n)
-        dim = 2**self.n
-        rho = _field_array(self.rho, "rho", complex, (dim, dim))
+    def __init__(self, n: int, rho: np.ndarray):
+        check_degree(n)
+        vars(self).update(n=n)
+        dim = 2**n
+        rho = _field_array(rho, "rho", complex, (dim, dim))
         if rho.shape == (dim, dim):  # else `_settle` names the shape
             _check_norm(rho, "rho", dim, 1.0)  # before the eigenvalue test would warn on it
-        self._settle(rho)
+        self._settle(rho, stacklevel=4)
 
-    def _settle(self, rho: np.ndarray) -> None:
+    def _settle(self, rho: np.ndarray, stacklevel: int = 5) -> None:
         dim = 2**self.n
         if rho.shape != (dim, dim):
             raise ValidationError(f"rho must be {dim}x{dim} for n={self.n}")
@@ -141,8 +138,8 @@ class DensityState(_Settled):
             _refuse_non_finite(rho)
         if residual > HERM_TOL:
             raise ValidationError("rho is not Hermitian")
-        # level 5: the caller of the constructor or of `_built`'s caller
-        _trace_and_psd(rho, stacklevel=5)
+        # the caller of the constructor (level 4) or of `_built`'s caller (5)
+        _trace_and_psd(rho, stacklevel)
         object.__setattr__(self, "rho", _read_only(rho))
 
     @cached_property
@@ -152,18 +149,16 @@ class DensityState(_Settled):
         return _read_only(np.ascontiguousarray(pauli_grid(self.rho, self.n).real))
 
 
-@dataclass(frozen=True, eq=False)
 class WignerFunction(_Settled):
     """A read-only copy of a length-N^2 real Wigner vector, tagged with its net."""
 
-    n: int
-    net_id: int
-    w: np.ndarray
+    __match_args__ = ("n", "net_id", "w")
 
-    def __post_init__(self):
-        check_degree(self.n)
+    def __init__(self, n: int, net_id: int, w: np.ndarray):
+        check_degree(n)
+        vars(self).update(n=n, net_id=net_id)
         with np.errstate(over="ignore"):  # the sum rule, not numpy, names an overflowing sum
-            self._settle(_field_array(self.w, "w", float, (4**self.n,)))
+            self._settle(_field_array(w, "w", float, (4**n,)))
         _check_norm(self.w, "w", self.order, self.order)
 
     def _settle(self, w: np.ndarray) -> None:
@@ -201,7 +196,8 @@ def _trace_and_psd(rho: np.ndarray, stacklevel: int) -> None:
     # rho lies below PSD_TOL, so only a failure needs the eigenvalues;
     # a factor that overflowed to inf or NaN counts as a failure
     try:
-        factored = cmath.isfinite(np.linalg.cholesky(rho + _psd_shift(len(rho))).sum())
+        total = np.linalg.cholesky(rho + _psd_shift(len(rho))).sum()
+        factored = math.isfinite(total.real) and math.isfinite(total.imag)
     except np.linalg.LinAlgError:
         factored = False
     if not factored:

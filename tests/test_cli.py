@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -389,6 +390,43 @@ def test_import_leaves_verify_unloaded(module):
     code = f"import sys, {module}; sys.exit('dwfnet.verify' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(jsonio.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_leaves_dataclasses_and_cmath_unloaded():
+    # neither module is generated or imported on a cold CLI call's path
+    code = "import sys, dwfnet.cli; sys.exit(bool({'dataclasses', 'cmath'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(jsonio.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+COMMANDS = ["compute", "to-rho", "stokes", "reduce", "convert", "spinflip", "conjugate", "nets",
+            "concurrence", "verify"]
+USAGE = [
+    ["-h"],
+    *([command, "-h"] for command in COMMANDS),
+    ["bogus"],
+    ["compute"],
+    ["-x", "compute", "--net", "1"],
+    ["reduce", "--keep", "0,x", "--net-out", "0"],
+    ["nets", "--n", "6", "--describe", "0"],
+    ["nets", "--n", "2", "--describe", "9999"],
+]
+
+
+def test_usage_is_pinned(capsys, monkeypatch):
+    # help, usage errors and early refusals hashed with argv and exit code;
+    # argparse's wording is this Python version's, at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in USAGE:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(bell_dwf_doc()))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        digest.update(json.dumps([argv, code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == "f7973e4dacde4ee1b81c16bf4815d3a313a26930b1d53173e2bd2bc95894b1c9"
 
 
 @pytest.mark.parametrize(
