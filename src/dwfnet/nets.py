@@ -208,7 +208,9 @@ class HadamardMatrix(_Frozen):
     __match_args__ = ("n", "net_id", "h")
 
     def __init__(self, n: int, net_id: int, h: np.ndarray):
-        vars(self).update(n=n, net_id=net_id, h=h)  # h: float64, exactly +-1; H^-1 = H^T / 4^n
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "net_id", net_id)
+        object.__setattr__(self, "h", h)  # float64, exactly +-1; H^-1 = H^T / 4^n
 
 
 @bytes_lru(lambda c: c.nbytes)
@@ -331,8 +333,10 @@ class ProductReport(_FrozenValue):
 
     def __init__(self, is_product: bool, form: str, factor_a_net: int | None = None,
                  factor_b_conj_net: int | None = None):
-        vars(self).update(is_product=is_product, form=form, factor_a_net=factor_a_net,
-                          factor_b_conj_net=factor_b_conj_net)
+        object.__setattr__(self, "is_product", is_product)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "factor_a_net", factor_a_net)
+        object.__setattr__(self, "factor_b_conj_net", factor_b_conj_net)
 
 
 @lru_cache(maxsize=None)

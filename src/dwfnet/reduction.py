@@ -44,7 +44,8 @@ class KeepSet(_FrozenValue):
         keep = tuple(check_int(q, 0, qubits, "keep position") for q in keep)
         if not keep or list(keep) != sorted(set(keep)):
             raise ValidationError(f"keep positions {keep} must be non-empty, strictly increasing")
-        vars(self).update(n=n, keep=keep)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "keep", keep)
 
     @property
     def k(self) -> int:
@@ -74,7 +75,9 @@ class ReductionMap(_FrozenValue):
             raise ValidationError(f"keep {keep!r} is not a KeepSet")
         check_net_id(source_net, 2**keep.n)
         check_net_id(target_net, 2**keep.k)
-        vars(self).update(keep=keep, source_net=source_net, target_net=target_net)
+        object.__setattr__(self, "keep", keep)
+        object.__setattr__(self, "source_net", source_net)
+        object.__setattr__(self, "target_net", target_net)
 
     @classmethod
     def _of(cls, keep: KeepSet, source_net: int, target_net: int) -> ReductionMap:

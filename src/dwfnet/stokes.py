@@ -39,7 +39,7 @@ class StokesVector(_Settled):
 
     def __init__(self, n: int, s: np.ndarray):
         check_degree(n)
-        vars(self).update(n=n)
+        object.__setattr__(self, "n", n)
         self._settle(_field_array(s, "s", float, (4**n,)))
 
     def _settle(self, s: np.ndarray) -> None:

@@ -96,6 +96,7 @@ class XZTables(_Frozen):
     __match_args__ = ("wh", "half", "gather", "scatter", "phase", "planes", "stokes", "cells")
 
     def __init__(self, wh, half, gather, scatter, phase, planes, stokes, cells):
+        # one cached instance per n, whose dict `_xz_tables` reads
         vars(self).update(wh=wh, half=half, gather=gather, scatter=scatter, phase=phase,
                           planes=planes, stokes=stokes, cells=cells)
 

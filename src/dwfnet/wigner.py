@@ -108,7 +108,8 @@ class _Settled(_Frozen):
         """The value of a library-built array for a checked n, without a
         copy: the scalar fields in order, then the array."""
         value = object.__new__(cls)
-        vars(value).update(zip(cls.__match_args__[:-1], fields))
+        for name, field in zip(cls.__match_args__[:-1], fields):
+            object.__setattr__(value, name, field)
         value._settle(fields[-1])
         return value
 
@@ -120,7 +121,7 @@ class DensityState(_Settled):
 
     def __init__(self, n: int, rho: np.ndarray):
         check_degree(n)
-        vars(self).update(n=n)
+        object.__setattr__(self, "n", n)
         dim = 2**n
         rho = _field_array(rho, "rho", complex, (dim, dim))
         if rho.shape == (dim, dim):  # else `_settle` names the shape
@@ -156,7 +157,8 @@ class WignerFunction(_Settled):
 
     def __init__(self, n: int, net_id: int, w: np.ndarray):
         check_degree(n)
-        vars(self).update(n=n, net_id=net_id)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "net_id", net_id)
         with np.errstate(over="ignore"):  # the sum rule, not numpy, names an overflowing sum
             self._settle(_field_array(w, "w", float, (4**n,)))
         _check_norm(self.w, "w", self.order, self.order)
