@@ -56,12 +56,17 @@ def check_int(value, start, stop, what: str, error: type = ValidationError) -> i
     return value
 
 
+# How a value type's `__init__` stores a field: a write through `vars(self)`
+# would give every instance a dict of its own (about 140 bytes more), and a
+# module-level name is looked up faster than `object.__setattr__`.
+_set_field = object.__setattr__
+
+
 class _Frozen:
     """Base of the package's value types.  Each subclass names its fields in
-    `__match_args__` and stores them with `object.__setattr__` in its own
-    `__init__` (a write through `vars(self)` would give every instance a dict
-    of its own, about 140 bytes more); they are read-only after that, and the
-    repr is `Type(field=value, ...)`.  Equality and hashing are by identity."""
+    `__match_args__` and stores them with `_set_field` in its own `__init__`;
+    they are read-only after that, and the repr is `Type(field=value, ...)`.
+    Equality and hashing are by identity."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

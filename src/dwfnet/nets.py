@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (
     NetConstructionError, UnsupportedDimensionError, UnsupportedNetError, ValidationError,
-    _Frozen, _FrozenValue, check_int,
+    _Frozen, _FrozenValue, _set_field, check_int,
 )
 from .ffield import GF2m, check_degree
 from .phasespace import PhaseSpace
@@ -208,9 +208,9 @@ class HadamardMatrix(_Frozen):
     __match_args__ = ("n", "net_id", "h")
 
     def __init__(self, n: int, net_id: int, h: np.ndarray):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "net_id", net_id)
-        object.__setattr__(self, "h", h)  # float64, exactly +-1; H^-1 = H^T / 4^n
+        _set_field(self, "n", n)
+        _set_field(self, "net_id", net_id)
+        _set_field(self, "h", h)  # float64, exactly +-1; H^-1 = H^T / 4^n
 
 
 @bytes_lru(lambda c: c.nbytes)
@@ -333,10 +333,10 @@ class ProductReport(_FrozenValue):
 
     def __init__(self, is_product: bool, form: str, factor_a_net: int | None = None,
                  factor_b_conj_net: int | None = None):
-        object.__setattr__(self, "is_product", is_product)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "factor_a_net", factor_a_net)
-        object.__setattr__(self, "factor_b_conj_net", factor_b_conj_net)
+        _set_field(self, "is_product", is_product)
+        _set_field(self, "form", form)
+        _set_field(self, "factor_a_net", factor_a_net)
+        _set_field(self, "factor_b_conj_net", factor_b_conj_net)
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError, NetMismatchError, PurityError, UnsupportedNetError, ValidationError,
-    _FrozenValue, check_int,
+    _FrozenValue, _set_field, check_int,
 )
 from .ffield import check_degree
 from .nets import QuantumNet, check_net_id, detect_product_structure
@@ -44,8 +44,8 @@ class KeepSet(_FrozenValue):
         keep = tuple(check_int(q, 0, qubits, "keep position") for q in keep)
         if not keep or list(keep) != sorted(set(keep)):
             raise ValidationError(f"keep positions {keep} must be non-empty, strictly increasing")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "keep", keep)
+        _set_field(self, "n", n)
+        _set_field(self, "keep", keep)
 
     @property
     def k(self) -> int:
@@ -75,9 +75,9 @@ class ReductionMap(_FrozenValue):
             raise ValidationError(f"keep {keep!r} is not a KeepSet")
         check_net_id(source_net, 2**keep.n)
         check_net_id(target_net, 2**keep.k)
-        object.__setattr__(self, "keep", keep)
-        object.__setattr__(self, "source_net", source_net)
-        object.__setattr__(self, "target_net", target_net)
+        _set_field(self, "keep", keep)
+        _set_field(self, "source_net", source_net)
+        _set_field(self, "target_net", target_net)
 
     @classmethod
     def _of(cls, keep: KeepSet, source_net: int, target_net: int) -> ReductionMap:

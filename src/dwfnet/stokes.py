@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _set_field
 from .ffield import check_degree
 # HadamardMatrix, hadamard_matrix and pauli_words are re-exported here
 from .nets import HadamardMatrix, QuantumNet, hadamard_matrix
@@ -39,7 +39,7 @@ class StokesVector(_Settled):
 
     def __init__(self, n: int, s: np.ndarray):
         check_degree(n)
-        object.__setattr__(self, "n", n)
+        _set_field(self, "n", n)
         self._settle(_field_array(s, "s", float, (4**n,)))
 
     def _settle(self, s: np.ndarray) -> None:

@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NetMismatchError, ValidationError, _Frozen, check_int
+from .errors import NetMismatchError, ValidationError, _Frozen, _set_field, check_int
 from .ffield import check_degree
 from .nets import QuantumNet, _signs_by_id, check_net_id, net_context
 from .translations import _xz_tables, operator_from_grid, pauli_grid
@@ -121,7 +121,7 @@ class DensityState(_Settled):
 
     def __init__(self, n: int, rho: np.ndarray):
         check_degree(n)
-        object.__setattr__(self, "n", n)
+        _set_field(self, "n", n)
         dim = 2**n
         rho = _field_array(rho, "rho", complex, (dim, dim))
         if rho.shape == (dim, dim):  # else `_settle` names the shape
@@ -157,8 +157,8 @@ class WignerFunction(_Settled):
 
     def __init__(self, n: int, net_id: int, w: np.ndarray):
         check_degree(n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "net_id", net_id)
+        _set_field(self, "n", n)
+        _set_field(self, "net_id", net_id)
         with np.errstate(over="ignore"):  # the sum rule, not numpy, names an overflowing sum
             self._settle(_field_array(w, "w", float, (4**n,)))
         _check_norm(self.w, "w", self.order, self.order)
