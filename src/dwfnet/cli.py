@@ -158,8 +158,8 @@ _COMMANDS = ("compute", "to-rho", "stokes", "reduce", "convert", "spinflip", "co
              "nets", "concurrence", "verify")
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The CLI's parser; given `argv`, only the subcommand its first command
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The CLI's parser for `argv`: only the subcommand its first command
     token names gets its arguments.  The top-level parser takes no option with
     a value, so argparse picks that command and parses with its subparser alone."""
     parser = argparse.ArgumentParser(
@@ -168,12 +168,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         "finite-field phase spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = None if argv is None else next((a for a in argv if a in _COMMANDS), "")
+    named = next((a for a in argv if a in _COMMANDS), None)
 
     def command(name, help):
         """The subparser of `name` if it takes its arguments here, else None."""
         p = sub.add_parser(name, help=help)
-        return p if named in (None, name) else None
+        return p if name == named else None
 
     def document(p, parse, act):
         p.add_argument("-i", "--input", default=None, help="input file (default stdin)")
