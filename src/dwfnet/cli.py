@@ -146,10 +146,8 @@ def _cmd_nets(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_suites  # the suites stay off the other commands' imports
     names = None if args.suite == "all" else [args.suite]
-    results = run_suites(args.n, names)
+    results = run_suites(args.n, names, lambda r: print(r.line(), flush=True))
     passed = sum(1 for r in results if r.ok)
-    for r in results:
-        print(r.line())
     print(f"{passed}/{len(results)} suites passed")
     return 0 if passed == len(results) else 3
 

@@ -83,7 +83,9 @@ class ReductionMap(_FrozenValue):
     def _of(cls, keep: KeepSet, source_net: int, target_net: int) -> ReductionMap:
         """The map of a KeepSet and two built nets' ids matched to its sizes, unchecked."""
         rmap = object.__new__(cls)
-        vars(rmap).update(keep=keep, source_net=source_net, target_net=target_net)
+        _set_field(rmap, "keep", keep)
+        _set_field(rmap, "source_net", source_net)
+        _set_field(rmap, "target_net", target_net)
         return rmap
 
 
@@ -119,7 +121,9 @@ def convert_net(w: WignerFunction, target_net: QuantumNet) -> WignerFunction:
     the DWF's Stokes grid S = H W mapped back on the target net."""
     if target_net.n_qubits != w.n:
         raise DimensionMismatchError("target net size differs from the input DWF")
-    return _dwf_on(target_net.net_id, w._stokes)
+    out = _dwf_on(target_net.net_id, w._stokes)
+    _set_field(out, "_owner", w._owner)  # the same grid, so the same state
+    return out
 
 
 # -- product-net shortcut (cross-check path) -------------------------------

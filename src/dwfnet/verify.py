@@ -560,16 +560,21 @@ def suite_concurrence(r: SuiteResult, n: int) -> None:
             )
 
 
-def run_suites(n: int, names=None) -> list:
-    """Run the named suites (default: every suite declared at this n); a named
-    suite refuses an n it is not declared at."""
+def run_suites(n: int, names=None, report=None) -> list:
+    """Run the named suites (default: every suite declared at this n), each
+    result passed to `report` as its suite finishes; an unknown name is
+    refused before any suite runs, and a named suite refuses an n it is not
+    declared at."""
     if names is None:
         # no suite is declared outside the field: refuse such an n as GF2m(n) does
         check_degree(n, "extension degree m", UnsupportedDimensionError)
         names = [name for name, suite in SUITES.items() if n in suite.sizes]
-    results = []
     for name in names:
         if name not in SUITES:
             raise ValidationError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+    results = []
+    for name in names:
         results.append(SUITES[name](n))
+        if report is not None:
+            report(results[-1])
     return results

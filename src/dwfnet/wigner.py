@@ -95,7 +95,10 @@ def _check_norm(a: np.ndarray, key: str, order: int, weight: float) -> None:
 # not copied; `_dwf_on` runs only the DWF sum rule and `_state_of` only the
 # state's trace and PSD rules, `_trace_and_psd`).  The net-independent
 # Stokes grid `_stokes` of a value is memoised read-only, so a value met by
-# several nets or maps is transformed at most once.
+# several nets or maps is transformed at most once, in both directions: a
+# DWF that `dwf_from_rho` or `convert_net` builds from a state's grid names
+# that state as its `_owner`, and the state memoises the state rebuilt from
+# its grid as `_rebuilt`, so `rho_from_dwf` rebuilds it once for all nets.
 
 
 class _Settled(_Frozen):
@@ -118,6 +121,7 @@ class DensityState(_Settled):
     """A validated n-qubit density operator, holding a read-only copy."""
 
     __match_args__ = ("n", "rho")
+    _rebuilt = None  # the state `rho_from_dwf` rebuilt from `_stokes`, once it factored
 
     def __init__(self, n: int, rho: np.ndarray):
         check_degree(n)
@@ -154,6 +158,7 @@ class WignerFunction(_Settled):
     """A read-only copy of a length-N^2 real Wigner vector, tagged with its net."""
 
     __match_args__ = ("n", "net_id", "w")
+    _owner = None  # the state whose `_stokes` this DWF shares (`dwf_from_rho`, `convert_net`)
 
     def __init__(self, n: int, net_id: int, w: np.ndarray):
         check_degree(n)
@@ -186,10 +191,10 @@ def _refuse_non_finite(rho: np.ndarray) -> None:
         raise ValidationError('field "rho" has a non-finite entry')
 
 
-def _trace_and_psd(rho: np.ndarray, stacklevel: int) -> None:
+def _trace_and_psd(rho: np.ndarray, stacklevel: int) -> bool:
     """The trace rule, then the PSD test, on a Hermitian rho; a negative
     eigenvalue warns at `stacklevel` from here.  A non-finite entry fails
-    one of them, so only their failure paths scan for one."""
+    one of them, so only their failure paths scan for one.  True if rho factored."""
     trace = rho.trace().real
     if abs(trace - 1.0) > 1e-8:
         _refuse_non_finite(rho)
@@ -211,6 +216,7 @@ def _trace_and_psd(rho: np.ndarray, stacklevel: int) -> None:
                 "remain well defined on Hermitian inputs",
                 stacklevel=stacklevel,
             )
+    return factored
 
 
 @lru_cache(maxsize=8)
@@ -261,33 +267,49 @@ def _dwf_on(net_id: int, s: np.ndarray) -> WignerFunction:
     return value
 
 
-def _state_of(s: np.ndarray) -> DensityState:
+def _state_of(s: np.ndarray, owner: DensityState | None = None) -> DensityState:
     """The k-qubit state of a real grid s[x, z], k read off its shape, as
     `rho_from_dwf` rebuilds it: `operator_from_grid` makes rho Hermitian and
-    of the right shape, so of `_settle` only `_trace_and_psd` runs."""
+    of the right shape, so of `_settle` only `_trace_and_psd` runs.  The
+    state `owner` of s keeps the result as `_rebuilt` if rho factored."""
     k = len(s).bit_length() - 1
     rho = _read_only(operator_from_grid(s, k))
-    _trace_and_psd(rho, stacklevel=4)  # the caller of `rho_from_dwf`
+    factored = _trace_and_psd(rho, stacklevel=4)  # the caller of `rho_from_dwf`
     value = object.__new__(DensityState)
-    vars(value).update(n=k, rho=rho)
+    _set_field(value, "n", k)
+    _set_field(value, "rho", rho)
+    if factored and owner is not None:
+        _set_field(owner, "_rebuilt", value)
     return value
 
 
 def dwf_from_rho(state: DensityState, net: QuantumNet) -> WignerFunction:
-    """w_alpha = (1/N) Tr(rho A_alpha)."""
+    """w_alpha = (1/N) Tr(rho A_alpha), tagged with `state` as its `_owner`."""
     if state.n != net.n_qubits:
         raise ValidationError(f"state has n={state.n} but net is for n={net.n_qubits}")
-    return _dwf_on(net.net_id, state._stokes)
+    w = _dwf_on(net.net_id, state._stokes)
+    _set_field(w, "_owner", state)
+    return w
 
 
 def rho_from_dwf(w: WignerFunction, net: QuantumNet) -> DensityState:
-    """rho = sum_alpha w_alpha A_alpha; inverse of dwf_from_rho."""
+    """rho = sum_alpha w_alpha A_alpha; inverse of dwf_from_rho.
+
+    Every DWF of a state that `dwf_from_rho` or `convert_net` built shares
+    the state's grid, so they return one rebuilt state, built on the first
+    call and kept by the original state (16^n bytes of rho, 4 KB at n = 4);
+    such a DWF keeps its state alive in turn.  A rebuild whose Cholesky test
+    fails is not kept, so one that warns or raises does so on every call.
+    Any other DWF is rebuilt on every call."""
     if w.n != net.n_qubits or w.net_id != net.net_id:
         raise NetMismatchError(
             f"Wigner function (n={w.n}, net {w.net_id}) does not match "
             f"net {net.net_id} (n={net.n_qubits})"
         )
-    return _state_of(w._stokes)
+    owner = w._owner
+    if owner is not None and owner._rebuilt is not None:
+        return owner._rebuilt
+    return _state_of(w._stokes, owner)
 
 
 def line_probability(w: WignerFunction, line: np.ndarray) -> float:

@@ -104,3 +104,22 @@ def test_a_suite_that_raises_fails_alone(capsys, monkeypatch, error):
     for argv in (["--suite", "concurrence"], ["--suite", "bogus"]):
         assert main(["verify", "--n", "1", *argv]) == 2
         assert capsys.readouterr().out == ""
+
+
+def test_verify_prints_each_suite_as_it_finishes(capsys, monkeypatch):
+    # a long run shows progress: a suite's line is out before the next suite starts
+    monkeypatch.setattr(verify, "SUITES", {})
+    seen = []
+
+    @verify._suite("first", sizes=(1,))
+    def first(r, n):
+        r.expect(True, "first")
+
+    @verify._suite("second", sizes=(1,))
+    def second(r, n):
+        seen.append(capsys.readouterr().out)
+        r.expect(True, "second")
+
+    assert main(["verify", "--n", "1"]) == 0
+    assert seen == ["PASS first (n=1): 1 checks\n"]
+    assert capsys.readouterr().out == "PASS second (n=1): 1 checks\n2/2 suites passed\n"
