@@ -60,11 +60,6 @@ def _write(path: str | None, doc) -> None:
             fh.write(text)
 
 
-def _net_for(n: int, net_id: int):
-    ctx = net_context(n)
-    return build_net(ctx, net_id)
-
-
 def _run(args) -> int:
     """Read, parse, act, write: the one pipeline of the document commands."""
     value = args.parse(_read(args.input))
@@ -73,11 +68,11 @@ def _run(args) -> int:
 
 
 def _compute(state, args) -> dict:
-    return jsonio.dwf_to_doc(dwf_from_rho(state, _net_for(state.n, args.net)))
+    return jsonio.dwf_to_doc(dwf_from_rho(state, build_net(net_context(state.n), args.net)))
 
 
 def _to_rho(w, args) -> dict:
-    return jsonio.state_to_doc(rho_from_dwf(w, _net_for(w.n, w.net_id)))
+    return jsonio.state_to_doc(rho_from_dwf(w, build_net(net_context(w.n), w.net_id)))
 
 
 def _stokes(state, args) -> dict:
@@ -98,12 +93,13 @@ def _reduce(w, args) -> dict:
             f"--net-in {args.net_in} does not match input DWF net {w.net_id}"
         )
     keep = _parse_keep(args.keep, w.n)
-    rmap = reduction_map(_net_for(w.n, w.net_id), _net_for(keep.k, args.net_out), keep)
+    source = build_net(net_context(w.n), w.net_id)
+    rmap = reduction_map(source, build_net(net_context(keep.k), args.net_out), keep)
     return jsonio.dwf_to_doc(reduce_dwf(w, rmap))
 
 
 def _convert(w, args) -> dict:
-    return jsonio.dwf_to_doc(convert_net(w, _net_for(w.n, args.net_out)))
+    return jsonio.dwf_to_doc(convert_net(w, build_net(net_context(w.n), args.net_out)))
 
 
 def _spinflip(w, args) -> dict:
@@ -115,11 +111,15 @@ def _conjugate(w, args) -> dict:
 
 
 def _concurrence(w, args) -> dict:
-    return {"n": w.n, "concurrence": concurrence_from_dwf(w, _net_for(w.n, w.net_id))}
+    return {"n": w.n, "concurrence": concurrence_from_dwf(w, build_net(net_context(w.n), w.net_id))}
 
 
 def _cmd_nets(args) -> int:
     if args.describe is not None:  # the digits alone: no net context is built
+        for flag, given in (("classify", args.classify), ("detect-product", args.detect_product),
+                            ("sample", args.sample is not None)):
+            if given:
+                raise ValidationError(f"--describe cannot be combined with --{flag}")
         n = check_degree(args.n, error=UnsupportedDimensionError)  # as `net_context` checks n
         digits = digits_of(args.describe, 2**n)
         _write(args.output, {"id": args.describe, "digits": list(digits)})
@@ -152,8 +152,35 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(results) else 3
 
 
-_COMMANDS = ("compute", "to-rho", "stokes", "reduce", "convert", "spinflip", "conjugate",
-             "nets", "concurrence", "verify")
+# Each command once: name -> (help, its `jsonio` parser's name, action, argument specs).  One
+# with a parser also takes -i/-o and runs `_run`; one without (None) runs its action alone.
+_COMMANDS = {
+    "compute": ("density matrix -> DWF", "parse_state", _compute,
+                [("--net", dict(type=int, required=True, help="net id"))]),
+    "to-rho": ("DWF -> density matrix", "parse_dwf", _to_rho, []),
+    "stokes": ("density matrix -> Stokes vector", "parse_state", _stokes, []),
+    "reduce": ("DWF -> subsystem DWF", "parse_dwf", _reduce, [
+        ("--keep", dict(required=True, help="comma-separated qubit positions")),
+        ("--net-in", dict(type=int, help="expected source net id")),
+        ("--net-out", dict(type=int, required=True, help="target net id"))]),
+    "convert": ("re-express a DWF in another net", "parse_dwf", _convert,
+                [("--net-out", dict(type=int, required=True))]),
+    "spinflip": ("apply the spin-flip matrix G", "parse_dwf", _spinflip, []),
+    "conjugate": ("apply the conjugation matrix F", "parse_dwf", _conjugate, []),
+    "nets": ("net atlas / classification", None, _cmd_nets, [
+        ("--n", dict(type=int, required=True, help="qubit count")),
+        ("--classify", dict(action="store_true", help="add orbit labels")),
+        ("--detect-product", dict(action="store_true", help="add product-structure labels")),
+        ("--describe", dict(type=int, help="describe one net id")),
+        ("--sample", dict(type=int, help="sample count for n >= 3")),
+        ("-o", "--output", {})]),
+    "concurrence": ("concurrence of a pure two-qubit DWF", "parse_dwf", _concurrence, []),
+    "verify": ("run invariant suites", None, _cmd_verify, [
+        ("--suite", dict(default="all", help="suite name, or all (default)")),
+        ("--n", dict(type=int, required=True, help="qubit count"))]),
+}
+_IO = [("-i", "--input", dict(help="input file (default stdin)")),
+       ("-o", "--output", dict(help="output file (default stdout)"))]
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
@@ -167,58 +194,16 @@ def build_parser(argv) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = next((a for a in argv if a in _COMMANDS), None)
-
-    def command(name, help):
-        """The subparser of `name` if it takes its arguments here, else None."""
+    for name, (help, parse, act, specs) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        return p if name == named else None
-
-    def document(p, parse, act):
-        p.add_argument("-i", "--input", default=None, help="input file (default stdin)")
-        p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-        p.set_defaults(func=_run, parse=parse, act=act)
-
-    if p := command("compute", "density matrix -> DWF"):
-        p.add_argument("--net", type=int, required=True, help="net id")
-        document(p, jsonio.parse_state, _compute)
-    if p := command("to-rho", "DWF -> density matrix"):
-        document(p, jsonio.parse_dwf, _to_rho)
-    if p := command("stokes", "density matrix -> Stokes vector"):
-        document(p, jsonio.parse_state, _stokes)
-
-    if p := command("reduce", "DWF -> subsystem DWF"):
-        p.add_argument("--keep", required=True, help="comma-separated qubit positions")
-        p.add_argument("--net-in", type=int, default=None, help="expected source net id")
-        p.add_argument("--net-out", type=int, required=True, help="target net id")
-        document(p, jsonio.parse_dwf, _reduce)
-
-    if p := command("convert", "re-express a DWF in another net"):
-        p.add_argument("--net-out", type=int, required=True)
-        document(p, jsonio.parse_dwf, _convert)
-    if p := command("spinflip", "apply the spin-flip matrix G"):
-        document(p, jsonio.parse_dwf, _spinflip)
-    if p := command("conjugate", "apply the conjugation matrix F"):
-        document(p, jsonio.parse_dwf, _conjugate)
-
-    if p := command("nets", "net atlas / classification"):
-        p.add_argument("--n", type=int, required=True, help="qubit count")
-        p.add_argument("--classify", action="store_true", help="add orbit labels")
-        p.add_argument(
-            "--detect-product", action="store_true", help="add product-structure labels"
-        )
-        p.add_argument("--describe", type=int, default=None, help="describe one net id")
-        p.add_argument("--sample", type=int, default=None, help="sample count for n >= 3")
-        p.add_argument("-o", "--output", default=None)
-        p.set_defaults(func=_cmd_nets)
-
-    if p := command("concurrence", "concurrence of a pure two-qubit DWF"):
-        document(p, jsonio.parse_dwf, _concurrence)
-
-    if p := command("verify", "run invariant suites"):
-        p.add_argument("--suite", default="all", help="suite name, or all (default)")
-        p.add_argument("--n", type=int, required=True, help="qubit count")
-        p.set_defaults(func=_cmd_verify)
-
+        if name != named:
+            continue
+        for *flags, keywords in specs + (_IO if parse else []):
+            p.add_argument(*flags, **keywords)
+        if parse is None:
+            p.set_defaults(func=act)
+        else:
+            p.set_defaults(func=_run, parse=getattr(jsonio, parse), act=act)
     return parser
 
 

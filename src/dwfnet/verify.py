@@ -566,8 +566,8 @@ def run_suites(n: int, names=None, report=None) -> list:
     refused before any suite runs, and a named suite refuses an n it is not
     declared at."""
     if names is None:
-        # no suite is declared outside the field: refuse such an n as GF2m(n) does
-        check_degree(n, "extension degree m", UnsupportedDimensionError)
+        # no suite is declared outside the field: refuse such an n as `net_context` does
+        check_degree(n, error=UnsupportedDimensionError)
         names = [name for name, suite in SUITES.items() if n in suite.sizes]
     for name in names:
         if name not in SUITES:

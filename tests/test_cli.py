@@ -13,6 +13,7 @@ import pytest
 from dwfnet import (
     DensityState, build_net, dwf_from_rho, jsonio, net_context, random_density, random_pure,
 )
+from dwfnet import cli
 from dwfnet.cli import main
 
 
@@ -254,6 +255,17 @@ def test_nets_describe(capsys, monkeypatch):
     assert json.loads(out) == {"id": 5, "digits": [1, 0, 1]}
 
 
+@pytest.mark.parametrize(
+    "extra", [["--classify"], ["--detect-product"], ["--sample", "3"], ["--sample", "0"]],
+    ids=["classify", "detect-product", "sample", "sample-0"],
+)
+def test_nets_describe_refuses_other_flags(capsys, extra):
+    # --describe prints one net's digits; a flag it would drop is refused, not ignored
+    code, out, err = run(capsys, ["nets", "--n", "2", "--describe", "5", *extra])
+    assert (code, out) == (2, "")
+    assert err == f"error: --describe cannot be combined with {extra[0]}\n"
+
+
 def test_nets_sample_large(capsys, monkeypatch):
     code, out, _ = run(capsys, ["nets", "--n", "3", "--sample", "10"])
     assert code == 0
@@ -330,6 +342,14 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "'bogus'" in err
+
+
+@pytest.mark.parametrize("n", ["0", "6"])
+def test_verify_unsupported_qubit_count_exits_2(capsys, n):
+    # worded as every other command's refusal of n
+    code, out, err = run(capsys, ["verify", "--n", n])
+    assert (code, out) == (2, "")
+    assert f"qubit count n {n} out of range" in err
 
 
 @pytest.mark.parametrize(
@@ -427,6 +447,18 @@ def test_usage_is_pinned(capsys, monkeypatch):
         captured = capsys.readouterr()
         digest.update(json.dumps([argv, code, captured.out, captured.err]).encode())
     assert digest.hexdigest() == "f7973e4dacde4ee1b81c16bf4815d3a313a26930b1d53173e2bd2bc95894b1c9"
+
+
+def test_every_command_in_the_table_is_in_the_usage_pin():
+    assert set(cli._COMMANDS) == set(COMMANDS)
+
+
+def test_only_the_named_command_takes_its_arguments():
+    argv = ["compute", "--net", "1"]
+    assert cli.build_parser(["compute"]).parse_args(argv).net == 1
+    with pytest.raises(SystemExit) as exc:  # compute is not armed: --net is unknown
+        cli.build_parser(["stokes"]).parse_args(argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
