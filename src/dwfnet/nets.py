@@ -104,6 +104,9 @@ class NetContext:
 
     def __init__(self, m: int) -> None:
         self.field = GF2m(m)
+        self.order = self.field.order
+        self.n_qubits = self.field.m
+        self.net_count = _net_count(self.order)
         self.space = PhaseSpace(self.field)
         self.table = TranslationTable(self.space)
         self.eigensystems = build_eigensystems(self.space, self.table)
@@ -112,18 +115,6 @@ class NetContext:
         self.ray_signs = self.eigensystems.signs.reshape(-1, self.order - 1).astype(float)
         self.ray_rows = np.arange(self.order + 1) * self.order
         self.ones = np.ones((self.order, self.order))
-
-    @property
-    def order(self) -> int:
-        return self.field.order
-
-    @property
-    def n_qubits(self) -> int:
-        return self.field.m
-
-    @property
-    def net_count(self) -> int:
-        return _net_count(self.order)
 
 
 def net_context(m: int) -> NetContext:
@@ -177,6 +168,8 @@ class QuantumNet:
 
     def __init__(self, ctx: NetContext, net_id: int) -> None:
         self.ctx = ctx
+        self.order = ctx.order
+        self.n_qubits = ctx.n_qubits
         self.net_id = net_id
         self.digits = digits_of(net_id, ctx.order)
 
@@ -192,14 +185,6 @@ class QuantumNet:
     @cached_property
     def point_ops(self) -> tuple:
         return tuple(self.ops_array)
-
-    @property
-    def order(self) -> int:
-        return self.ctx.order
-
-    @property
-    def n_qubits(self) -> int:
-        return self.ctx.n_qubits
 
 
 class HadamardMatrix(_Frozen):

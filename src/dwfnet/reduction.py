@@ -46,10 +46,7 @@ class KeepSet(_FrozenValue):
             raise ValidationError(f"keep positions {keep} must be non-empty, strictly increasing")
         _set_field(self, "n", n)
         _set_field(self, "keep", keep)
-
-    @property
-    def k(self) -> int:
-        return len(self.keep)
+        _set_field(self, "k", len(keep))  # outside `__match_args__`: not in repr, ==, hash
 
 
 @lru_cache(maxsize=64)
@@ -79,15 +76,6 @@ class ReductionMap(_FrozenValue):
         _set_field(self, "source_net", source_net)
         _set_field(self, "target_net", target_net)
 
-    @classmethod
-    def _of(cls, keep: KeepSet, source_net: int, target_net: int) -> ReductionMap:
-        """The map of a KeepSet and two built nets' ids matched to its sizes, unchecked."""
-        rmap = object.__new__(cls)
-        _set_field(rmap, "keep", keep)
-        _set_field(rmap, "source_net", source_net)
-        _set_field(rmap, "target_net", target_net)
-        return rmap
-
 
 def reduction_map(
     source_net: QuantumNet, target_net: QuantumNet, keep: KeepSet
@@ -103,7 +91,7 @@ def reduction_map(
         raise DimensionMismatchError(
             f"target net is for n={target_net.n_qubits}, keep set keeps k={keep.k}"
         )
-    return ReductionMap._of(keep, source_net.net_id, target_net.net_id)
+    return ReductionMap(keep, source_net.net_id, target_net.net_id)
 
 
 def reduce_dwf(w: WignerFunction, rmap: ReductionMap) -> WignerFunction:
@@ -157,9 +145,9 @@ def shortcut_reduce(w: WignerFunction, net: QuantumNet, which: str) -> WignerFun
     labels = net.ctx.table.labels  # per point: single-qubit point indices
     if which == "A":
         out = np.bincount(labels[:, 0], weights=w.w, minlength=4)
-        return WignerFunction._built(1, report.factor_a_net, out)
+        return WignerFunction(1, report.factor_a_net, out)
     marginal = np.bincount(labels[:, 1], weights=w.w, minlength=4)
-    return WignerFunction._built(1, report.factor_b_conj_net, 0.5 * _SIGN_KERNEL @ marginal)
+    return WignerFunction(1, report.factor_b_conj_net, 0.5 * _SIGN_KERNEL @ marginal)
 
 
 def concurrence_from_dwf(w: WignerFunction, source_net: QuantumNet) -> float:

@@ -24,17 +24,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError, _set_field
+from .errors import ValidationError, _Frozen, _set_field
 from .ffield import check_degree
 # HadamardMatrix, hadamard_matrix and pauli_words are re-exported here
 from .nets import HadamardMatrix, QuantumNet, hadamard_matrix
 from .translations import _xz_tables, pauli_words
-from .wigner import (
-    DensityState, WignerFunction, _dwf_on, _field_array, _from_stokes, _read_only, _Settled,
-)
+from .wigner import DensityState, WignerFunction, _dwf_on, _field_array, _from_stokes, _read_only
 
 
-class StokesVector(_Settled):
+class StokesVector(_Frozen):
     __match_args__ = ("n", "s")
 
     def __init__(self, n: int, s: np.ndarray):
@@ -55,12 +53,12 @@ class StokesVector(_Settled):
 
 def stokes_from_rho(state: DensityState) -> StokesVector:
     """s_j = Re Tr(rho Sigma_j); s[0] = 1 for unit-trace inputs."""
-    return StokesVector._built(state.n, state._stokes.ravel()[_xz_tables(state.n).cells])
+    return StokesVector(state.n, state._stokes.ravel()[_xz_tables(state.n).cells])
 
 
 def stokes_from_dwf(w: WignerFunction) -> StokesVector:
     """S = H W, read from the DWF's memoised Stokes grid without H."""
-    return StokesVector._built(w.n, w._stokes.ravel()[_xz_tables(w.n).cells])
+    return StokesVector(w.n, w._stokes.ravel()[_xz_tables(w.n).cells])
 
 
 def _flip_signs(n: int) -> np.ndarray:

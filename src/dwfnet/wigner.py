@@ -89,35 +89,20 @@ def _check_norm(a: np.ndarray, key: str, order: int, weight: float) -> None:
         )
 
 
-# Each value type checks its array in `_settle`, the one set of checks for
-# the array a caller passes (copied and screened by `_field_array` and
-# `_check_norm` first) and for an array the library has just built (`_built`,
-# not copied; `_dwf_on` runs only the DWF sum rule and `_state_of` only the
-# state's trace and PSD rules, `_trace_and_psd`).  The net-independent
-# Stokes grid `_stokes` of a value is memoised read-only, so a value met by
-# several nets or maps is transformed at most once, in both directions: a
-# DWF that `dwf_from_rho` or `convert_net` builds from a state's grid names
-# that state as its `_owner`, and the state memoises the state rebuilt from
-# its grid as `_rebuilt`, so `rho_from_dwf` rebuilds it once for all nets.
+# The public constructor is each value type's one checked path, for a
+# caller's array and the library's alike: `_field_array` and `_check_norm`
+# copy and screen the array, then `_settle` runs every rule on it.  The two
+# exceptions are the fast paths every transform takes, on grids real and
+# Hermitian by construction: `_dwf_on` runs only the DWF sum rule and
+# `_state_of` only the state's trace and PSD rules (`_trace_and_psd`).  The
+# net-independent Stokes grid `_stokes` of a value is memoised read-only, so
+# a value met by several nets or maps is transformed at most once, in both
+# directions: a DWF that `dwf_from_rho` or `convert_net` builds from a state's
+# grid names that state as its `_owner`, and the state memoises the state
+# rebuilt from its grid as `_rebuilt`, so `rho_from_dwf` rebuilds it once.
 
 
-class _Settled(_Frozen):
-    """Base of the value types (array fields: equality and hashing by
-    identity): a frozen type whose last field is the array its `_settle`
-    checks and stores."""
-
-    @classmethod
-    def _built(cls, *fields):
-        """The value of a library-built array for a checked n, without a
-        copy: the scalar fields in order, then the array."""
-        value = object.__new__(cls)
-        for name, field in zip(cls.__match_args__[:-1], fields):
-            object.__setattr__(value, name, field)
-        value._settle(fields[-1])
-        return value
-
-
-class DensityState(_Settled):
+class DensityState(_Frozen):
     """A validated n-qubit density operator, holding a read-only copy."""
 
     __match_args__ = ("n", "rho")
@@ -130,9 +115,9 @@ class DensityState(_Settled):
         rho = _field_array(rho, "rho", complex, (dim, dim))
         if rho.shape == (dim, dim):  # else `_settle` names the shape
             _check_norm(rho, "rho", dim, 1.0)  # before the eigenvalue test would warn on it
-        self._settle(rho, stacklevel=4)
+        self._settle(rho)
 
-    def _settle(self, rho: np.ndarray, stacklevel: int = 5) -> None:
+    def _settle(self, rho: np.ndarray) -> None:
         dim = 2**self.n
         if rho.shape != (dim, dim):
             raise ValidationError(f"rho must be {dim}x{dim} for n={self.n}")
@@ -143,8 +128,7 @@ class DensityState(_Settled):
             _refuse_non_finite(rho)
         if residual > HERM_TOL:
             raise ValidationError("rho is not Hermitian")
-        # the caller of the constructor (level 4) or of `_built`'s caller (5)
-        _trace_and_psd(rho, stacklevel)
+        _trace_and_psd(rho)
         object.__setattr__(self, "rho", _read_only(rho))
 
     @cached_property
@@ -154,7 +138,7 @@ class DensityState(_Settled):
         return _read_only(np.ascontiguousarray(pauli_grid(self.rho, self.n).real))
 
 
-class WignerFunction(_Settled):
+class WignerFunction(_Frozen):
     """A read-only copy of a length-N^2 real Wigner vector, tagged with its net."""
 
     __match_args__ = ("n", "net_id", "w")
@@ -191,10 +175,11 @@ def _refuse_non_finite(rho: np.ndarray) -> None:
         raise ValidationError('field "rho" has a non-finite entry')
 
 
-def _trace_and_psd(rho: np.ndarray, stacklevel: int) -> bool:
+def _trace_and_psd(rho: np.ndarray) -> bool:
     """The trace rule, then the PSD test, on a Hermitian rho; a negative
-    eigenvalue warns at `stacklevel` from here.  A non-finite entry fails
-    one of them, so only their failure paths scan for one.  True if rho factored."""
+    eigenvalue warns four frames up, at the caller of `DensityState(...)` or
+    `rho_from_dwf`.  A non-finite entry fails one of them, so only their
+    failure paths scan for one.  True if rho factored."""
     trace = rho.trace().real
     if abs(trace - 1.0) > 1e-8:
         _refuse_non_finite(rho)
@@ -214,7 +199,7 @@ def _trace_and_psd(rho: np.ndarray, stacklevel: int) -> bool:
             warnings.warn(
                 f"rho has negative eigenvalue {smallest:.3e}; transforms "
                 "remain well defined on Hermitian inputs",
-                stacklevel=stacklevel,
+                stacklevel=4,
             )
     return factored
 
@@ -274,7 +259,7 @@ def _state_of(s: np.ndarray, owner: DensityState | None = None) -> DensityState:
     state `owner` of s keeps the result as `_rebuilt` if rho factored."""
     k = len(s).bit_length() - 1
     rho = _read_only(operator_from_grid(s, k))
-    factored = _trace_and_psd(rho, stacklevel=4)  # the caller of `rho_from_dwf`
+    factored = _trace_and_psd(rho)
     value = object.__new__(DensityState)
     _set_field(value, "n", k)
     _set_field(value, "rho", rho)
@@ -332,11 +317,11 @@ def random_density(n: int, rng: np.random.Generator) -> DensityState:
     dim = 2 ** check_degree(n)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
-    return DensityState._built(n, rho / np.trace(rho).real)
+    return DensityState(n, rho / np.trace(rho).real)
 
 
 def random_pure(n: int, rng: np.random.Generator) -> DensityState:
     dim = 2 ** check_degree(n)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v = v / np.linalg.norm(v)
-    return DensityState._built(n, np.outer(v, v.conj()))
+    return DensityState(n, np.outer(v, v.conj()))

@@ -373,8 +373,8 @@ def test_dropped_reduction_maps_hold_no_memory():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_reduction_map_equals_the_checked_constructor(n):
-    # `reduction_map` builds its map without re-checking the nets' ids, and
-    # gives the map the public constructor checks, field for field
+    # `reduction_map` builds its map with the public constructor, so it gives
+    # the map that constructor checks, field for field
     rng = np.random.default_rng(2300 + n)
     order = 2**n
     source = build_net(net_context(n), id_of([int(d) for d in rng.integers(0, order, order + 1)], order))
@@ -383,6 +383,7 @@ def test_reduction_map_equals_the_checked_constructor(n):
         target = build_net(net_context(k), int(rng.integers(2**k)))
         got, want = reduction_map(source, target, keep), ReductionMap(keep, source.net_id, target.net_id)
         assert type(got) is ReductionMap and got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want)
         assert (got.keep, got.source_net, got.target_net) == (keep, source.net_id, target.net_id)
 
 

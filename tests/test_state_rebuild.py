@@ -6,8 +6,8 @@ real product, so the rebuilt rho equals its conjugate transpose bit for bit,
 and it equals, bit for bit, what the two-product formula (one product per
 plane of M, every cell read) gives.  `rho_from_dwf` then runs only the trace
 rule and the PSD test, which must decide every grid as the full check
-`DensityState._built` does: the same error, or the same warning pointing at
-the same caller.
+`DensityState._settle` does: the same error, or the same warning pointing at
+the same file.
 """
 
 import warnings
@@ -29,6 +29,7 @@ from dwfnet import (
 from dwfnet.errors import ValidationError
 from dwfnet.translations import operator_from_grid, xz_tables
 from dwfnet.wigner import EPS, PSD_TOL, _state_of
+from library_built import library_built
 
 
 def two_product_operator(s, n):
@@ -75,7 +76,7 @@ def huge_built_dwf(n, net_id, scale, rng):
     for i, j in pairs:
         a = scale * rng.uniform(0.5, 1.0)
         w[i], w[j] = a, -a
-    return WignerFunction._built(n, net_id, w)
+    return library_built(WignerFunction, n, net_id, w)
 
 
 def dwfs(n, rng):
@@ -129,8 +130,8 @@ def outcome(build):
 
 def settled(s, n):
     """The full check of the state built from grid s: shape, Hermitian
-    residual, trace and PSD rules.  Its warning points at its caller."""
-    return DensityState._built(n, operator_from_grid(s, n))
+    residual, trace and PSD rules.  Its warning points at this line."""
+    return library_built(DensityState, n, operator_from_grid(s, n))
 
 
 def state_with_smallest(n, smallest, rng):
@@ -142,7 +143,7 @@ def state_with_smallest(n, smallest, rng):
     values *= (1 - smallest) / values.sum()
     values[0] = smallest
     rho = (q * values) @ q.conj().T
-    return DensityState._built(n, (rho + rho.conj().T) / 2)
+    return library_built(DensityState, n, (rho + rho.conj().T) / 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -188,7 +189,7 @@ def test_overflowing_factor_decides_as_the_full_check():
     # the DWF of `test_overflowing_cholesky_factor_still_warns`: rho has
     # eigenvalues +-1.41e150 and a Cholesky factor that overflows to NaN
     net = build_net(net_context(1), 0)
-    w = WignerFunction._built(1, 0, np.array([1e150, -1e150, 1.0, 0.0]))
+    w = library_built(WignerFunction, 1, 0, np.array([1e150, -1e150, 1.0, 0.0]))
     new = outcome(lambda: rho_from_dwf(w, net))
     assert new == outcome(lambda: settled(w._stokes, 1))
     assert new == [

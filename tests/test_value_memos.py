@@ -43,6 +43,7 @@ from dwfnet.errors import ValidationError
 from dwfnet.reduction import _kept_cells
 from dwfnet.translations import operator_from_grid, pauli_grid, xz_tables
 from dwfnet.wigner import _dwf_on, _from_stokes, _to_stokes
+from library_built import library_built
 
 
 def random_net(n, rng):
@@ -260,25 +261,26 @@ def test_library_built_values_are_read_only():
 
 
 def test_library_built_values_are_checked():
-    # `_built` skips only the copy: every check of the public constructor runs
+    # `_settle` on the array alone, as the library once built values: every
+    # rule runs without the public constructor's copy and norm screen
     with pytest.raises(ValidationError, match="Wigner function sums to 2.0, not 1"):
-        WignerFunction._built(1, 0, np.full(4, 0.5))
+        library_built(WignerFunction, 1, 0, np.full(4, 0.5))
     with pytest.raises(ValidationError, match="non-finite entry"):
-        WignerFunction._built(1, 0, np.array([np.nan, 0.5, 0.25, 0.25]))
+        library_built(WignerFunction, 1, 0, np.array([np.nan, 0.5, 0.25, 0.25]))
     with pytest.raises(ValidationError, match=r"out of range \[0, 1024\)"):
-        WignerFunction._built(2, 1024, np.full(16, 1 / 16))
+        library_built(WignerFunction, 2, 1024, np.full(16, 1 / 16))
     with pytest.raises(ValidationError, match="w must have length 4"):
-        WignerFunction._built(1, 0, np.ones(1))
+        library_built(WignerFunction, 1, 0, np.ones(1))
     with pytest.raises(ValidationError, match="not Hermitian"):
-        DensityState._built(1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))
+        library_built(DensityState, 1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))
     with pytest.raises(ValidationError, match="rho has trace 2.0, not 1"):
-        DensityState._built(1, np.eye(2, dtype=complex))
+        library_built(DensityState, 1, np.eye(2, dtype=complex))
     with pytest.raises(ValidationError, match="non-finite entry"):
-        DensityState._built(1, np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        library_built(DensityState, 1, np.array([[np.nan, 0], [0, 1]], dtype=complex))
     with pytest.raises(ValidationError, match="rho must be 2x2"):
-        DensityState._built(1, np.eye(4, dtype=complex) / 4)
+        library_built(DensityState, 1, np.eye(4, dtype=complex) / 4)
     with pytest.raises(ValidationError, match="s must have length 4"):
-        StokesVector._built(1, np.ones(16))
+        library_built(StokesVector, 1, np.ones(16))
 
 
 def test_non_psd_dwf_still_warns():
@@ -299,7 +301,7 @@ def test_overflowing_cholesky_factor_still_warns():
     # its Cholesky factor overflows to NaN instead of failing.  The public
     # constructor refuses so large a DWF, so it enters as a library-built one
     net = build_net(net_context(1), 0)
-    w = WignerFunction._built(1, 0, np.array([1e150, -1e150, 1.0, 0.0]))
+    w = library_built(WignerFunction, 1, 0, np.array([1e150, -1e150, 1.0, 0.0]))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rho = rho_from_dwf(w, net).rho
