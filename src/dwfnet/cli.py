@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     except NetConstructionError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3
-    except (DwfError, OSError) as exc:
+    except (DwfError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -130,14 +130,14 @@ def _net_count(order: int) -> int:
     return order ** (order + 1)
 
 
-def check_net_id(net_id: int, order: int) -> None:
-    """Reject a net id that is not an integer in [0, N^(N+1))."""
-    check_int(net_id, 0, _net_count(order), "net id")
+def check_net_id(net_id: int, order: int) -> int:
+    """`net_id` as an int if it is an integer in [0, N^(N+1)), else raise."""
+    return check_int(net_id, 0, _net_count(order), "net id")
 
 
 def digits_of(net_id: int, order: int) -> tuple:
     """Mixed-radix digits of a scalar net id (striation 0 most significant)."""
-    check_net_id(net_id, order)
+    net_id = check_net_id(net_id, order)
     digits = []
     for _ in range(order + 1):
         digits.append(net_id % order)
@@ -150,7 +150,7 @@ def id_of(digits, order: int) -> int:
         raise ValidationError(f"invalid net digits {digits} for N={order}")
     value = 0
     for d in digits:
-        check_int(d, 0, order, "net digit")
+        d = check_int(d, 0, order, "net digit")
         value = value * order + d
     return value
 
@@ -170,8 +170,8 @@ class QuantumNet:
         self.ctx = ctx
         self.order = ctx.order
         self.n_qubits = ctx.n_qubits
-        self.net_id = net_id
-        self.digits = digits_of(net_id, ctx.order)
+        self.digits = digits_of(net_id, ctx.order)  # which checks the id
+        self.net_id = int(net_id)
 
     @cached_property
     def ops_array(self) -> np.ndarray:
@@ -261,7 +261,7 @@ def enumerate_nets(ctx: NetContext, sample: int | None = None):
                 "pass an explicit sample count"
             )
         return range(total)
-    check_int(sample, 1, total + 1, "sample count")
+    sample = check_int(sample, 1, total + 1, "sample count")
     stride = total // sample
     return range(0, stride * sample, stride)
 

@@ -44,7 +44,7 @@ class KeepSet(_FrozenValue):
         keep = tuple(check_int(q, 0, qubits, "keep position") for q in keep)
         if not keep or list(keep) != sorted(set(keep)):
             raise ValidationError(f"keep positions {keep} must be non-empty, strictly increasing")
-        _set_field(self, "n", n)
+        _set_field(self, "n", qubits)
         _set_field(self, "keep", keep)
         _set_field(self, "k", len(keep))  # outside `__match_args__`: not in repr, ==, hash
 
@@ -70,11 +70,9 @@ class ReductionMap(_FrozenValue):
     def __init__(self, keep: KeepSet, source_net: int, target_net: int):
         if not isinstance(keep, KeepSet):
             raise ValidationError(f"keep {keep!r} is not a KeepSet")
-        check_net_id(source_net, 2**keep.n)
-        check_net_id(target_net, 2**keep.k)
         _set_field(self, "keep", keep)
-        _set_field(self, "source_net", source_net)
-        _set_field(self, "target_net", target_net)
+        _set_field(self, "source_net", check_net_id(source_net, 2**keep.n))
+        _set_field(self, "target_net", check_net_id(target_net, 2**keep.k))
 
 
 def reduction_map(
@@ -109,9 +107,7 @@ def convert_net(w: WignerFunction, target_net: QuantumNet) -> WignerFunction:
     the DWF's Stokes grid S = H W mapped back on the target net."""
     if target_net.n_qubits != w.n:
         raise DimensionMismatchError("target net size differs from the input DWF")
-    out = _dwf_on(target_net.net_id, w._stokes)
-    _set_field(out, "_owner", w._owner)  # the same grid, so the same state
-    return out
+    return _dwf_on(target_net.net_id, w._stokes, w._owner)  # the same grid, so the same state
 
 
 # -- product-net shortcut (cross-check path) -------------------------------

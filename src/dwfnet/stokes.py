@@ -36,19 +36,16 @@ class StokesVector(_Frozen):
     __match_args__ = ("n", "s")
 
     def __init__(self, n: int, s: np.ndarray):
-        check_degree(n)
-        _set_field(self, "n", n)
-        self._settle(_field_array(s, "s", float, (4**n,)))
+        _set_field(self, "n", check_degree(n))
+        self._settle(_field_array(s, "s", float, (4**self.n,)))
 
     def _settle(self, s: np.ndarray) -> None:
+        # `_field_array` screened the entries; no sum rule applies, so a
+        # finite vector whose sum overflows is a valid Stokes vector
         size = 4**self.n
         if s.shape != (size,):
             raise ValidationError(f"s must have length {size} for n={self.n}")
-        # no sum rule to borrow, so the entries are screened themselves: a
-        # finite vector whose sum overflows is still a valid Stokes vector
-        if not np.isfinite(s).all():
-            raise ValidationError('field "s" has a non-finite entry')
-        object.__setattr__(self, "s", _read_only(s))
+        _set_field(self, "s", _read_only(s))
 
 
 def stokes_from_rho(state: DensityState) -> StokesVector:

@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NonCommutingError, _Frozen
-from .ffield import check_degree
+from .ffield import SUPPORTED_DEGREES, check_degree
 from .phasespace import PhaseSpace
 
 _SIGMA = (
@@ -55,8 +55,8 @@ _SIGMA = (
 _STOKES_DIGIT = np.array([0, 3, 1, 2])
 _MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 _I_POWERS = _MINUS_I_POWERS.conj()
-# weight and parity of every mask below 2^5, the largest supported qubit count
-_WEIGHT = np.array([bin(v).count("1") for v in range(32)], dtype=np.int64)
+# weight and parity of every mask of a supported qubit count
+_WEIGHT = np.array([bin(v).count("1") for v in range(2 ** SUPPORTED_DEGREES[-1])], dtype=np.int64)
 _ODD = _WEIGHT & 1
 
 

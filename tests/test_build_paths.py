@@ -3,16 +3,20 @@
 Each builder returns what the public constructor returns on the same fields
 (`reduction_map`'s maps are pinned the same way in `test_reduction.py`), and
 the source holds no other way to make a value but the two fast paths of the
-transforms, `wigner._dwf_on` and `wigner._state_of`.
+transforms, `wigner._dwf_on` and `wigner._state_of`.  No value is patched
+after it is built: fields are written only while a value is built, and the
+one later write is the rebuild memo `_state_of` leaves on a state.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dwfnet
+from dwfnet.errors import _Frozen
 from dwfnet import (
     WignerFunction,
     build_net,
@@ -94,3 +98,54 @@ def test_only_the_two_fast_paths_bypass_the_constructors():
                 uses.append((path.name, function))
     assert sorted(uses) == [("wigner.py", "_dwf_on"), ("wigner.py", "_state_of")]
     assert not defined & {"_built", "_of"}
+
+
+def field_writes(tree):
+    """The scope "Class.method" or "function" of every call in `tree` that
+    writes a field past `_Frozen.__setattr__`: `_set_field(...)`,
+    `object.__setattr__(...)` or `vars(...).update(...)`."""
+    def writes(func):
+        if isinstance(func, ast.Name):
+            return func.id == "_set_field"
+        return isinstance(func, ast.Attribute) and (
+            (func.attr == "__setattr__" and isinstance(func.value, ast.Name) and func.value.id == "object")
+            or (func.attr == "update" and isinstance(func.value, ast.Call)
+                and isinstance(func.value.func, ast.Name) and func.value.func.id == "vars"))
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and writes(child.func):
+                yield inner
+            yield from walk(child, inner)
+
+    return walk(tree, "")
+
+
+def value_types(paths):
+    """The names of every `_Frozen` subclass the modules at `paths` define."""
+    for path in paths:
+        if path.stem != "__init__":
+            importlib.import_module(f"dwfnet.{path.stem}")
+    types, todo = set(), [_Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            types.add(sub.__qualname__)
+            todo.append(sub)
+    return types
+
+
+def test_no_value_is_patched_after_it_is_built():
+    # a value's fields are written while it is built: in its type's
+    # `__init__` or `_settle`, or by the fast paths `_dwf_on` and `_state_of`
+    # (whose `_rebuilt` memo is the one write to a finished value)
+    paths = sorted(Path(dwfnet.__file__).parent.glob("*.py"))
+    allowed = {f"{t}.{m}" for t in value_types(paths) for m in ("__init__", "_settle")}
+    allowed |= {"_dwf_on", "_state_of"}
+    stray = []
+    for path in paths:
+        stray += [(path.name, scope) for scope in field_writes(ast.parse(path.read_text(), str(path)))
+                  if scope not in allowed]
+    assert stray == []

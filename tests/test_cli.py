@@ -633,3 +633,21 @@ def test_input_just_below_the_bound_keeps_every_sum_rule(capsys, monkeypatch, n)
             for argv, doc in requests:
                 code, out, err = run(capsys, argv, doc, monkeypatch)
                 assert (code, err) == (0, ""), (argv, doc)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch, source):
+    # a UTF-16 byte-order mark is not UTF-8: one error line, no traceback
+    data = b"\xff\xfe" + bell_dwf_doc().encode("utf-16-le")
+    if source == "file":
+        path = tmp_path / "dwf.json"
+        path.write_bytes(data)
+        argv = ["to-rho", "-i", str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        argv = ["to-rho"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "can't decode byte 0xff" in captured.err

@@ -23,7 +23,6 @@ from dwfnet import stokes, translations
 from dwfnet.errors import ValidationError
 from dwfnet.nets import id_of
 from dwfnet.verify import dense_conjugation, dense_hadamard, dense_spinflip
-from library_built import library_built
 
 I2 = np.eye(2)
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -216,8 +215,6 @@ def test_sign_grids_are_the_per_qubit_products():
 def test_stokes_vector_rejects_non_finite_entries(bad):
     with pytest.raises(ValidationError, match='field "s" has a non-finite entry'):
         StokesVector(1, [1.0, bad, 0.0, 0.0])
-    with pytest.raises(ValidationError, match='field "s" has a non-finite entry'):
-        library_built(StokesVector, 1, np.array([bad, 0.0, 0.0, 0.0]))
     # finite entries whose sum overflows are accepted without any warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
