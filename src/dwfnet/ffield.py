@@ -81,23 +81,21 @@ class GF2m:
 
     # -- core arithmetic ------------------------------------------------
 
-    def _check(self, *values: int) -> None:
-        for v in values:
-            check_int(v, 0, self.order, "field element", FieldDomainError)
+    def _check(self, a) -> int:
+        """`a` as an int if it is an element of the field, else raise."""
+        return check_int(a, 0, self.order, "field element", FieldDomainError)
 
     def add(self, a: int, b: int) -> int:
         """Field addition (characteristic 2, so XOR of coefficient masks)."""
-        self._check(a, b)
-        return a ^ b
+        return self._check(a) ^ self._check(b)
 
     def mul(self, a: int, b: int) -> int:
         """Carry-less polynomial product reduced modulo the defining polynomial."""
-        self._check(a, b)
-        return int(self.products[a, b])
+        return int(self.products[self._check(a), self._check(b)])
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square and multiply; 0**0 == 1 by convention."""
-        self._check(a)
+        a = self._check(a)
         e = check_int(e, 0, float("inf"), "exponent", FieldDomainError)
         r = 1
         while e:
@@ -109,14 +107,13 @@ class GF2m:
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse via a^(2^m - 2)."""
-        if a == 0:
+        if self._check(a) == 0:
             raise FieldDomainError("zero has no multiplicative inverse")
         return self.pow(a, self.order - 2)
 
     def trace(self, a: int) -> int:
         """Field trace to GF(2): sum of a^(2^i) for i < m.  Always 0 or 1."""
-        self._check(a)
-        return int(self.traces[a])
+        return int(self.traces[self._check(a)])
 
     # -- basis expansions ------------------------------------------------
 
@@ -132,8 +129,7 @@ class GF2m:
 
     def expand(self, a: int, dual: bool = False) -> tuple:
         """Coefficients of `a` over the primal (or dual) basis, as 0/1 ints."""
-        self._check(a)
-        return tuple(self.expansions(dual)[a].tolist())
+        return tuple(self.expansions(dual)[self._check(a)].tolist())
 
     def compose(self, coeffs, dual: bool = False) -> int:
         """Rebuild the element from its coefficient vector."""

@@ -15,8 +15,12 @@ the (x, z) mask layout of `translations.xz_tables`; every transform and map
 reads c alone.  `hadamard_matrix` builds the net's +-1 Hadamard matrix
 H[j, alpha] = Tr(Sigma_j A_alpha) = diag(c) K as one product of c with K, the
 net-independent commutation signs of the Pauli words and the translations,
-cached per size as read-only int8 (1 MiB at n = 5).  c and H are cached by
-id, all three within a byte budget, with no point operator.
+with no point operator.
+
+A cache's bound follows its key's domain: tables keyed by size (5 keys) or
+keep set (57 at n <= 5), K among them (read-only int8, 1 MiB at n = 5), have
+no bound; H and the point operators live on their `QuantumNet` and go with
+it; c alone is keyed by net id (N^(N+1) keys), so `bytes_lru` bounds it.
 """
 
 from __future__ import annotations
@@ -36,61 +40,57 @@ from .phasespace import PhaseSpace
 from .translations import TranslationTable, _xz_tables, build_eigensystems
 
 FULL_ENUMERATION_LIMIT = 4  # N above this needs explicit sampling
-# Byte budget of each per-net matrix cache: six times the census workload's
-# Hadamard matrices (about 10 MiB), or eight n = 5 Hadamard matrices.
+# Byte budget of the net-id cache of sign vectors c: a c is N^2 float64, 8 KiB
+# at n = 5, so it holds 8192 of those, or every id at n <= 2 many times over.
 CACHE_BYTES = 64 * 2**20
 _MISSING = object()  # a cache miss, told apart from any cached value
 
 
-def bytes_lru(nbytes):
-    """Memoize a function of hashable positional arguments, evicting the
-    least recently used results once their total `nbytes(result)` exceeds
+def bytes_lru(fn):
+    """Memoize a function of hashable positional arguments returning arrays,
+    evicting the least recently used results once their total `.nbytes` exceeds
     CACHE_BYTES (read at each insertion).  Without concurrent hits the
     newest result always stays.  A hit takes no lock; a miss computes
     outside the lock and inserts under it.  The wrapper's `cache` attribute
     is the ordered {arguments: result} map, oldest first, and `cache_clear`
     empties it.
     """
+    cache = OrderedDict()
+    lock = threading.Lock()
+    total = 0
 
-    def decorate(fn):
-        cache = OrderedDict()
-        lock = threading.Lock()
-        total = 0
-
-        @wraps(fn)
-        def cached(*key):
-            nonlocal total
-            # a hit takes no lock: each OrderedDict call is atomic, and an
-            # entry evicted between the two calls is still a valid result
-            value = cache.get(key, _MISSING)
-            if value is not _MISSING:
-                try:
-                    cache.move_to_end(key)
-                except KeyError:
-                    pass
-                return value
-            value = fn(*key)
-            with lock:
-                if key in cache:  # another thread stored it first
-                    return cache[key]
-                cache[key] = value
-                total += nbytes(value)
-                # a concurrent hit may have moved older entries past this
-                # one, so it can be evicted here; the caller still gets it
-                while total > CACHE_BYTES and len(cache) > 1:
-                    total -= nbytes(cache.popitem(last=False)[1])
+    @wraps(fn)
+    def cached(*key):
+        nonlocal total
+        # a hit takes no lock: each OrderedDict call is atomic, and an
+        # entry evicted between the two calls is still a valid result
+        value = cache.get(key, _MISSING)
+        if value is not _MISSING:
+            try:
+                cache.move_to_end(key)
+            except KeyError:
+                pass
             return value
+        value = fn(*key)
+        with lock:
+            if key in cache:  # another thread stored it first
+                return cache[key]
+            cache[key] = value
+            total += value.nbytes
+            # a concurrent hit may have moved older entries past this
+            # one, so it can be evicted here; the caller still gets it
+            while total > CACHE_BYTES and len(cache) > 1:
+                total -= cache.popitem(last=False)[1].nbytes
+        return value
 
-        def cache_clear():
-            nonlocal total
-            with lock:
-                cache.clear()
-                total = 0
+    def cache_clear():
+        nonlocal total
+        with lock:
+            cache.clear()
+            total = 0
 
-        cached.cache, cached.cache_clear = cache, cache_clear
-        return cached
-
-    return decorate
+    cached.cache, cached.cache_clear = cache, cache_clear
+    return cached
 
 
 class NetContext:
@@ -161,8 +161,8 @@ class QuantumNet:
     The line of striation s through point alpha is the ray moved by
     T_alpha, so its projector is that striation's state
     `digit ^ flips[alpha]`, and A_alpha = sum of those N+1 projectors - I.
-    The transforms only need the id; `ops_array` and `point_ops` (views
-    into the stacked (N^2, N, N) `ops_array`) are built on first access;
+    The transforms only need the id; `ops_array`, `point_ops` (views into
+    the stacked (N^2, N, N) `ops_array`) and H are built on first access;
     only the oracle `verify.dense_projectors` builds the line projectors.
     """
 
@@ -172,6 +172,7 @@ class QuantumNet:
         self.n_qubits = ctx.n_qubits
         self.digits = digits_of(net_id, ctx.order)  # which checks the id
         self.net_id = int(net_id)
+        self._hadamard = None
 
     @cached_property
     def ops_array(self) -> np.ndarray:
@@ -198,7 +199,7 @@ class HadamardMatrix(_Frozen):
         _set_field(self, "h", h)  # float64, exactly +-1; H^-1 = H^T / 4^n
 
 
-@bytes_lru(lambda c: c.nbytes)
+@bytes_lru
 def _signs_by_id(n: int, net_id: int) -> np.ndarray:
     """The net's sign vector c_j = Tr(Sigma_j A_0) = H[j, 0] in the (x, z)
     layout of `translations.xz_tables`, read-only float64.
@@ -213,7 +214,7 @@ def _signs_by_id(n: int, net_id: int) -> np.ndarray:
     return c
 
 
-@bytes_lru(lambda k: k.nbytes)
+@lru_cache(maxsize=None)
 def _characters(n: int) -> np.ndarray:
     """K[j, alpha] = (-1)^{x_j . z_alpha + z_j . x_alpha}, the commutation sign
     of Sigma_j and T_alpha, as a read-only int8 table.  Point q N + p has
@@ -229,18 +230,17 @@ def _characters(n: int) -> np.ndarray:
     return k
 
 
-@bytes_lru(lambda hm: hm.h.nbytes)
-def _hadamard_by_id(n: int, net_id: int) -> HadamardMatrix:
-    """H[j, alpha] = c_j K[j, alpha], since A_alpha = T_alpha A_0 T_alpha^dag:
-    one product of c in Stokes order with the cached K of `_characters`."""
-    h = _signs_by_id(n, net_id).ravel()[_xz_tables(n).cells][:, None] * _characters(n)
-    h.flags.writeable = False  # shared by every caller through the cache
-    return HadamardMatrix(n, net_id, h)
-
-
 def hadamard_matrix(net: QuantumNet) -> HadamardMatrix:
-    """Net-dependent Hadamard matrix realizing S = H W and W = H^T S / N^2."""
-    return _hadamard_by_id(net.n_qubits, net.net_id)
+    """Net-dependent Hadamard matrix realizing S = H W and W = H^T S / N^2, built
+    once per net and kept on it: H[j, alpha] = c_j K[j, alpha], since A_alpha =
+    T_alpha A_0 T_alpha^dag, one product of c in Stokes order with K."""
+    hm = net._hadamard
+    if hm is None:
+        n = net.n_qubits
+        h = _signs_by_id(n, net.net_id).ravel()[_xz_tables(n).cells][:, None] * _characters(n)
+        h.flags.writeable = False  # shared by every caller through the net
+        hm = net._hadamard = HadamardMatrix(n, net.net_id, h)
+    return hm
 
 
 def build_net(ctx: NetContext, net_id: int) -> QuantumNet:

@@ -49,7 +49,7 @@ class KeepSet(_FrozenValue):
         _set_field(self, "k", len(keep))  # outside `__match_args__`: not in repr, ==, hash
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def _kept_cells(n: int, keep: tuple) -> np.ndarray:
     """The read-only table `words[x', z']` of a keep set: the flat n-qubit
     (x, z) cell of the kept word with k-qubit masks (x', z')."""

@@ -65,7 +65,7 @@ def pauli_words(n: int) -> np.ndarray:
     return _pauli_words(check_degree(n))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _pauli_words(n: int) -> np.ndarray:
     words = [np.array([[1.0 + 0.0j]])]
     for _ in range(n):
@@ -106,7 +106,7 @@ def xz_tables(n: int) -> XZTables:
     return _xz_tables(check_degree(n))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _xz_tables(n: int) -> XZTables:
     order = 2**n
     x, z = np.arange(order)[:, None], np.arange(order)[None, :]

@@ -197,13 +197,13 @@ def _trace_and_psd(rho: np.ndarray) -> bool:
     return factored
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _psd_shift(dim: int) -> np.ndarray:
     """-PSD_TOL I, read-only: rho + it is rho - PSD_TOL I bit for bit."""
     return _read_only(np.eye(dim, dtype=complex) * -PSD_TOL)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _layout(n: int) -> tuple:
     """WH, WH / 2^n, each point's flat [z, x] grid cell and the point at each cell."""
     t, grid = _xz_tables(n), net_context(n).table.grid

@@ -22,7 +22,6 @@ from dwfnet import (
     build_net,
     detect_product_structure,
     dwf_from_rho,
-    id_of,
     net_context,
     random_density,
     random_pure,
@@ -30,15 +29,7 @@ from dwfnet import (
     stokes_from_dwf,
     stokes_from_rho,
 )
-
-
-def random_net(n, rng):
-    order = 2**n
-    return build_net(net_context(n), id_of([int(d) for d in rng.integers(0, order, order + 1)], order))
-
-
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+from helpers import random_net, same_bits
 
 
 def assert_constructor_parity(value):

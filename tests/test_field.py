@@ -68,6 +68,10 @@ def test_domain_checks():
     ):
         with pytest.raises(FieldDomainError):
             call()
+    # a bool or float zero is refused as a non-integer, not as zero
+    for zero in (False, 0.0):
+        with pytest.raises(FieldDomainError, match="is not an integer"):
+            fld.inv(zero)
     # e >>= 1 never reaches 0 from a negative e, and e = 0 makes no product
     with pytest.raises(FieldDomainError):
         fld.pow(2, -1)

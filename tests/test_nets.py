@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -288,21 +289,27 @@ def test_hadamard_is_signs_times_characters():
                 assert np.array_equal(h, dense_hadamard(net))
 
 
-def test_characters_are_a_cached_int8_table(monkeypatch):
-    # K is one read-only int8 table per size, charged to the byte budget
-    # at one byte per entry
+def test_characters_are_a_cached_int8_table():
+    # K is one read-only int8 table per size, cached without a bound as
+    # there are only five sizes, and outside the byte budget
     for n in [1, 2, 3]:
         k = nets._characters(n)
         assert k.dtype == np.int8 and k.shape == (4**n, 4**n) and not k.flags.writeable
         assert nets._characters(n) is k
-    characters = nets._characters
-    characters.cache_clear()
-    monkeypatch.setattr(nets, "CACHE_BYTES", 4**6 + 4**4)  # K at n = 3 and 2
-    characters(3)
-    characters(2)
-    assert list(characters.cache) == [(3,), (2,)]
-    characters(1)  # 16 bytes more: the oldest goes
-    assert list(characters.cache) == [(2,), (1,)]
+    assert nets._characters.cache_info().maxsize is None
+
+
+def test_hadamard_lives_on_its_net():
+    # H is built once per net and kept on it, so it is freed with the net;
+    # another net of the same id builds its own, bit for bit the same
+    ctx = net_context(3)
+    net, twin = build_net(ctx, 4321), build_net(ctx, 4321)
+    hm = hadamard_matrix(net)
+    assert hadamard_matrix(net) is hm and hadamard_matrix(twin) is not hm
+    assert np.array_equal(hadamard_matrix(twin).h, hm.h)
+    dropped, dropped_h = weakref.ref(hm), weakref.ref(hm.h)
+    del net, hm
+    assert dropped() is None and dropped_h() is None
 
 
 def test_conjugated_net_matches_translated_id():
@@ -385,16 +392,15 @@ def test_transforms_build_no_point_operators():
 
 def test_transforms_build_no_dense_matrix():
     # the transforms, net conversion, F, G and reduction maps read sign
-    # vectors only: the Hadamard cache gains no entry and K is not built
-    hadamards = nets._hadamard_by_id.cache
-    before = set(hadamards)
+    # vectors only: no net gains an H, and K, which every H is built
+    # from, is not built
     nets._characters.cache_clear()
     rng = np.random.default_rng(31)
-    for m in [3, 4, 5]:  # other tests cache H for every n <= 2 net
+    built = []
+    for m in [3, 4, 5]:
         ctx = net_context(m)
         digits = rng.integers(0, ctx.order, (2, ctx.order + 1)).tolist()
         net, other = (build_net(ctx, id_of(d, ctx.order)) for d in digits)
-        assert (m, net.net_id) not in hadamards and (m, other.net_id) not in hadamards
         state = random_density(m, rng)
         w = dwf_from_rho(state, net)
         rho_from_dwf(w, net)
@@ -405,8 +411,9 @@ def test_transforms_build_no_dense_matrix():
         keep = KeepSet(m, (0, m - 1))
         target = build_net(net_context(2), int(rng.integers(1024)))
         reduce_dwf(w, reduction_map(net, target, keep))
-    assert set(hadamards) == before
-    assert not nets._characters.cache
+        built += [net, other, target]
+    assert all(net._hadamard is None for net in built)
+    assert nets._characters.cache_info().currsize == 0
 
 
 def test_byte_bounded_cache_is_thread_safe(monkeypatch):
@@ -415,7 +422,7 @@ def test_byte_bounded_cache_is_thread_safe(monkeypatch):
     # insertions keep exactly two entries
     monkeypatch.setattr(nets, "CACHE_BYTES", 2 * 800)
 
-    @nets.bytes_lru(lambda a: a.nbytes)
+    @nets.bytes_lru
     def filled(k):
         return np.full(100, float(k))  # 800 bytes
 
@@ -452,7 +459,7 @@ def test_byte_bounded_cache_evicts_oldest_first(monkeypatch):
     monkeypatch.setattr(nets, "CACHE_BYTES", 3 * 800)
     calls = []
 
-    @nets.bytes_lru(lambda a: a.nbytes)
+    @nets.bytes_lru
     def zeros(k):
         calls.append(k)
         return np.zeros(100)  # 800 bytes
@@ -467,17 +474,14 @@ def test_byte_bounded_cache_evicts_oldest_first(monkeypatch):
     zeros(0)  # evicted entries are recomputed
     assert calls[-1] == 0
 
-    # the Hadamard cache holds to the same budget
-    budget = 3 * 64 * 64 * 8  # three n = 3 Hadamard matrices
+    # the sign-vector cache holds to the same budget
+    budget = 3 * 8 * 8 * 8  # three n = 3 sign vectors
     monkeypatch.setattr(nets, "CACHE_BYTES", budget)
-    ctx3, ctx1 = net_context(3), net_context(1)
-    hadamards = nets._hadamard_by_id.cache
-    fresh = [i for i in range(5000, 5100) if (3, i) not in hadamards][:6]
-    target = build_net(ctx1, 0)
+    signs = nets._signs_by_id.cache
+    fresh = [i for i in range(5000, 5100) if (3, i) not in signs][:6]
     for net_id in fresh:
-        net = build_net(ctx3, net_id)
-        hadamard_matrix(net)
-        hadamard_matrix(target)  # refreshed each round, never the oldest
-        assert sum(hm.h.nbytes for hm in hadamards.values()) <= budget
-    # the newest two stay; the n = 1 target's H holds the rest of the budget
-    assert [(3, i) in hadamards for i in fresh] == [False] * 4 + [True] * 2
+        nets._signs_by_id(3, net_id)
+        nets._signs_by_id(1, 0)  # refreshed each round, never the oldest
+        assert sum(c.nbytes for c in signs.values()) <= budget
+    # the newest two stay; the n = 1 vector holds the rest of the budget
+    assert [(3, i) in signs for i in fresh] == [False] * 4 + [True] * 2

@@ -10,15 +10,12 @@ import numpy as np
 import pytest
 
 from dwfnet import (
-    DensityState, KeepSet, ReductionMap, StokesVector, ValidationError, WignerFunction,
+    DensityState, GF2m, KeepSet, ReductionMap, StokesVector, ValidationError, WignerFunction,
     build_net, dwf_from_rho, enumerate_nets, id_of, net_context, random_density, stokes_from_rho,
 )
+from helpers import same_bits
 
 DTYPES = [np.int8, np.uint8, np.int16, np.uint16, np.int64, np.uint64]
-
-
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def largest_id(count, dtype):
@@ -88,3 +85,14 @@ def test_numpy_digits_and_sample_counts_use_their_checked_ints(dtype):
         sampled = enumerate_nets(net_context(3), dtype(100))
     assert ids == [id_of([1] * 5, 4), id_of([3] * 5, 4)] and all(type(i) is int for i in ids)
     assert sampled == enumerate_nets(net_context(3), 100)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda t: t.__name__)
+def test_numpy_field_elements_give_python_ints(dtype):
+    # 30 ^ 29 kept as a numpy scalar would be np.uint8(3), not 3
+    fld, a, b = GF2m(5), dtype(30), dtype(29)
+    results = [fld.add(a, b), fld.mul(a, b), fld.pow(a, dtype(3)), fld.inv(a), fld.trace(a),
+               *fld.expand(a), *fld.expand(b, dual=True)]
+    assert all(type(r) is int for r in results)
+    assert results[:5] == [fld.add(30, 29), fld.mul(30, 29), fld.pow(30, 3), fld.inv(30),
+                           fld.trace(30)]

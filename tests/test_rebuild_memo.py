@@ -23,7 +23,6 @@ from dwfnet import (
     conjugate_dwf,
     convert_net,
     dwf_from_rho,
-    id_of,
     net_context,
     random_density,
     random_pure,
@@ -33,11 +32,7 @@ from dwfnet import (
     spinflip_dwf,
     wigner,
 )
-
-
-def random_net(n, rng):
-    order = 2**n
-    return build_net(net_context(n), id_of([int(d) for d in rng.integers(0, order, order + 1)], order))
+from helpers import random_net
 
 
 @pytest.fixture

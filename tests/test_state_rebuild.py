@@ -20,7 +20,6 @@ from dwfnet import (
     WignerFunction,
     build_net,
     dwf_from_rho,
-    id_of,
     net_context,
     random_density,
     random_pure,
@@ -29,6 +28,7 @@ from dwfnet import (
 from dwfnet.errors import ValidationError
 from dwfnet.translations import operator_from_grid, xz_tables
 from dwfnet.wigner import EPS, PSD_TOL, _state_of
+from helpers import random_net, same_bits
 from library_built import library_built
 
 
@@ -42,15 +42,6 @@ def two_product_operator(s, n):
     m.imag = (im * s) @ t.half
     b, a = np.indices(s.shape)
     return m[a ^ b, a]
-
-
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def random_net(n, rng):
-    order = 2**n
-    return build_net(net_context(n), id_of([int(d) for d in rng.integers(0, order, order + 1)], order))
 
 
 def near_bound_dwf(n, net_id, rng):

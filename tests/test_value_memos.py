@@ -27,7 +27,6 @@ from dwfnet import (
     convert_net,
     dwf_from_rho,
     hadamard_matrix,
-    id_of,
     net_context,
     random_density,
     random_pure,
@@ -43,12 +42,8 @@ from dwfnet.errors import ValidationError
 from dwfnet.reduction import _kept_cells
 from dwfnet.translations import operator_from_grid, pauli_grid, xz_tables
 from dwfnet.wigner import _dwf_on, _from_stokes, _to_stokes
+from helpers import random_net, same_bits
 from library_built import library_built
-
-
-def random_net(n, rng):
-    order = 2**n
-    return build_net(net_context(n), id_of([int(d) for d in rng.integers(0, order, order + 1)], order))
 
 
 def sign_grid(net):
@@ -60,11 +55,6 @@ def word_signs(n, single):
     """The product of each word's per-qubit signs, as a grid [x, z]."""
     digits = (xz_tables(n).stokes[..., None] >> 2 * np.arange(n)[::-1]) & 3
     return np.prod(np.asarray(single)[digits], axis=-1)
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
